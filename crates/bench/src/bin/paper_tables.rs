@@ -1,56 +1,43 @@
 //! Regenerates every table of the paper in the same row/column layout.
 //!
-//! Usage: `paper_tables [--table N] [--profile] [--json] [--check FILE]
-//! [--jobs N] [--schedulers] [--scheduler parallel] [--threads N]
-//! [--domain bdd]`
-//! (default: all four tables). With
-//! `--profile`, each row is followed by the engine's per-evaluation
-//! counters (subgoals, answers, duplicates, resolutions, and the hook
-//! counts where the analysis uses truncation). With `--json`, the whole
-//! suite is emitted as one machine-readable JSON document instead of text.
-//! With `--check FILE`, the run is compared against a committed baseline
-//! JSON (same format): table-space regressions beyond 20% fail the
-//! process, wall-clock regressions only warn on stderr.
-//!
-//! With `--jobs N` (N > 1), the suite is first run sequentially and then
-//! on N worker threads — one isolated engine session per benchmark — and
-//! the two runs' deterministic fields (programs, line counts, table bytes)
-//! are compared. Any divergence fails the process; the speedup is reported
-//! and, under `--json`, recorded in a `"parallel"` object. `--schedulers`
-//! (implied by `--json` with `--jobs`) additionally re-runs the groundness
-//! workload under each worklist scheduling strategy and reports the engine
-//! counters side by side.
-//!
-//! With `--scheduler parallel` (worker count from `--threads N`, default
-//! 4), each groundness query is additionally evaluated under the engine's
-//! intra-query parallel scheduler and compared against the sequential
-//! fixpoint: any answer-set divergence fails the process, and the
-//! per-query `{threads, sequential_us, parallel_us, speedup}` rows are
-//! recorded under `"slg_parallel"` in the `--json` document. `--threads N`
-//! alone implies `--scheduler parallel`.
-//!
-//! With `--domain bdd`, the Table 1/2 groundness workloads are re-run under
-//! both Prop-domain backends — enumerative truth tables and hash-consed
-//! BDDs, on the tabled engine and the direct analyzer alike — and each
-//! benchmark's answer sets are cross-checked between backends: any
-//! divergence fails the process. The per-query `{domain, time_us,
-//! direct_us, table_bytes, bdd_nodes, identical}` rows are printed as a
-//! comparison table and recorded under `"pos_domain"` in the `--json`
-//! document. `--domain table` is accepted and a no-op (the default
-//! backend already produced every other table).
+//! Usage: `paper_tables [--table 1|2|3|4] [--profile]` (default: all four
+//! tables). With `--profile`, each row of Tables 1, 3 and 4 is followed by
+//! the engine's per-evaluation counters (subgoals, answers, duplicates,
+//! resolutions, and the hook counts where the analysis uses truncation).
+//! Any other argument prints the usage to stderr and exits with status 2.
 
 use std::process::ExitCode;
-use tablog_bench::{
-    check_against_baseline, host_meta, measure_parallel, ms, parallel_slg_rows, pos_domain_rows,
-    pr9_json, run_suite, scheduler_rows, DomainRow, ParSlgRow, Row, SuiteTables, TABLE4_K,
-};
+use tablog_bench::{ms, Row, TABLE4_K};
 
-// With --features track-alloc the binary runs under the tracking global
-// allocator, and sequential rows gain peak_heap_bytes columns (see
-// tablog_alloc and Row::heap).
-#[cfg(feature = "track-alloc")]
-#[global_allocator]
-static ALLOC: tablog_alloc::TrackingAlloc = tablog_alloc::TrackingAlloc;
+const USAGE: &str = "usage: paper_tables [--table 1|2|3|4] [--profile]";
+
+/// What to print: one table (`None` means all four) and whether to profile.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Options {
+    table: Option<u32>,
+    profile: bool,
+}
+
+/// Parses the command line (without the program name). Each flag may
+/// appear at most once; anything unrecognised is an error.
+fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Options, String> {
+    let mut opts = Options::default();
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--profile" if !opts.profile => opts.profile = true,
+            "--table" if opts.table.is_none() => {
+                opts.table = match it.next() {
+                    Some(n @ ("1" | "2" | "3" | "4")) => n.parse().ok(),
+                    Some(other) => return Err(format!("--table expects 1-4, got {other:?}")),
+                    None => return Err("--table needs a value".to_owned()),
+                };
+            }
+            other => return Err(format!("unexpected argument {other:?}")),
+        }
+    }
+    Ok(opts)
+}
 
 fn print_row_table(title: &str, rows: &[Row]) {
     println!("\n{title}");
@@ -87,208 +74,23 @@ fn print_row_table(title: &str, rows: &[Row]) {
     }
 }
 
-/// The fractional regression tolerance the baseline check allows.
-const TOLERANCE: f64 = 0.20;
-
-/// Worker count `--scheduler parallel` uses when `--threads` is absent.
-const DEFAULT_THREADS: usize = 4;
-
-/// Runs the intra-query parallel-vs-sequential comparison and prints its
-/// verdict. `Err` means at least one query's answer sets diverged — an
-/// engine bug the caller must turn into a nonzero exit.
-fn run_slg_comparison(threads: usize) -> Result<Vec<ParSlgRow>, String> {
-    let rows = parallel_slg_rows(threads);
-    if let Some(bad) = rows.iter().find(|r| !r.identical) {
-        return Err(format!(
-            "parallel SLG answer sets diverged from sequential on {} (--threads {})",
-            bad.program, bad.threads
-        ));
-    }
-    eprintln!(
-        "parallel SLG check passed: {} queries identical at {threads} worker(s)",
-        rows.len()
-    );
-    Ok(rows)
-}
-
-/// Runs the two-backend Prop-domain comparison and prints its verdict.
-/// `Err` means a benchmark's groundness results differed between the table
-/// and BDD backends — a domain-layer bug the caller must turn into a
-/// nonzero exit.
-fn run_domain_comparison() -> Result<Vec<DomainRow>, String> {
-    let rows = pos_domain_rows();
-    if let Some(bad) = rows.iter().find(|r| !r.identical) {
-        return Err(format!(
-            "Prop-domain groundness results diverged from the table backend on {}",
-            bad.program
-        ));
-    }
-    eprintln!(
-        "domain check passed: {} rows identical across the table and bdd backends",
-        rows.len()
-    );
-    Ok(rows)
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let which: Option<u32> = args
-        .iter()
-        .position(|a| a == "--table")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let want = |n| which.is_none() || which == Some(n);
-    let profile = args.iter().any(|a| a == "--profile");
-    let json = args.iter().any(|a| a == "--json");
-    let want_sched = args.iter().any(|a| a == "--schedulers");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let check: Option<&String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-    let threads: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0);
-    let scheduler: Option<&String> = args
-        .iter()
-        .position(|a| a == "--scheduler")
-        .and_then(|i| args.get(i + 1));
-    let slg_threads: Option<usize> = match scheduler.map(String::as_str) {
-        Some("parallel") => Some(threads.unwrap_or(DEFAULT_THREADS)),
-        Some(other) => {
-            eprintln!(
-                "paper_tables: --scheduler only supports 'parallel' (got {other}); \
-                 the sequential strategies are already covered by --schedulers"
-            );
-            return ExitCode::FAILURE;
-        }
-        None => threads,
-    };
-    let domain: Option<&String> = args
-        .iter()
-        .position(|a| a == "--domain")
-        .and_then(|i| args.get(i + 1));
-    let want_domains = match domain.map(String::as_str) {
-        Some("bdd") => true,
-        Some("table") | None => false,
-        Some(other) => {
-            eprintln!("paper_tables: unknown --domain {other} (expected table or bdd)");
-            return ExitCode::FAILURE;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("paper_tables: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
-
-    if json || check.is_some() {
-        // With --jobs > 1, measure_parallel runs the suite both ways and
-        // verifies the deterministic fields agree; the parallel tables are
-        // what the JSON document and baseline check then see.
-        let (parallel, tables): (Option<tablog_bench::ParallelMeasurement>, SuiteTables) =
-            if jobs > 1 {
-                let (m, t) = measure_parallel(jobs);
-                (Some(m), t)
-            } else {
-                (None, run_suite(false, 1))
-            };
-        if let Some(p) = &parallel {
-            if !p.identical {
-                eprintln!(
-                    "FAIL: parallel suite run (--jobs {}) diverged from the sequential run",
-                    p.jobs
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "parallel check passed: --jobs {} identical to sequential, \
-                 {:.2}x speedup ({}ms -> {}ms, {} cpu(s) available)",
-                p.jobs,
-                p.speedup(),
-                ms(p.sequential),
-                ms(p.parallel),
-                p.cpus,
-            );
-        }
-        let sched = if want_sched || (json && jobs > 1) {
-            scheduler_rows()
-        } else {
-            Vec::new()
-        };
-        let slg = match slg_threads.map(run_slg_comparison) {
-            Some(Ok(rows)) => rows,
-            Some(Err(e)) => {
-                eprintln!("FAIL: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => Vec::new(),
-        };
-        let domains = if want_domains {
-            match run_domain_comparison() {
-                Ok(rows) => rows,
-                Err(e) => {
-                    eprintln!("FAIL: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            Vec::new()
-        };
-        let doc = pr9_json(
-            &tables,
-            &sched,
-            parallel.as_ref(),
-            &host_meta(),
-            &slg,
-            &domains,
-        );
-        if json {
-            println!("{doc}");
-        }
-        if let Some(path) = check {
-            let baseline = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("paper_tables: cannot read baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cur = tablog_trace::json::parse(&doc).expect("pr5_json is valid JSON");
-            let base = match tablog_trace::json::parse(&baseline) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("paper_tables: bad baseline JSON in {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (failures, warnings) = check_against_baseline(&cur, &base, TOLERANCE);
-            for w in &warnings {
-                eprintln!("warning: {w}");
-            }
-            for f in &failures {
-                eprintln!("FAIL: {f}");
-            }
-            if !failures.is_empty() {
-                return ExitCode::FAILURE;
-            }
-            eprintln!("baseline check passed ({} warnings)", warnings.len());
-        }
-        return ExitCode::SUCCESS;
-    }
-
+    let want = |n| opts.table.is_none() || opts.table == Some(n);
     if want(1) {
         print_row_table(
             "Table 1: Performance of Prop-based groundness analysis (tabled engine)",
-            &tablog_bench::table1_rows_jobs(profile, jobs),
+            &tablog_bench::table1_rows(opts.profile),
         );
     }
     if want(2) {
-        let rows = tablog_bench::table2_rows_jobs(jobs);
         println!(
             "\nTable 2: Total analysis time, tabled engine vs. direct analyzer (GAIA stand-in)"
         );
@@ -296,7 +98,7 @@ fn main() -> ExitCode {
             "{:<12} {:>12} {:>12} {:>8}",
             "Program", "tabled", "direct", "ratio"
         );
-        for r in &rows {
+        for r in tablog_bench::table2_rows() {
             println!(
                 "{:<12} {:>10}ms {:>10}ms {:>8.2}",
                 r.program,
@@ -309,82 +111,59 @@ fn main() -> ExitCode {
     if want(3) {
         print_row_table(
             "Table 3: Performance of strictness analysis",
-            &tablog_bench::table3_rows_jobs(profile, jobs),
+            &tablog_bench::table3_rows(opts.profile),
         );
     }
     if want(4) {
         print_row_table(
             &format!("Table 4: Groundness analysis with term-depth abstraction (k = {TABLE4_K})"),
-            &tablog_bench::table4_rows_jobs(profile, jobs),
+            &tablog_bench::table4_rows(opts.profile),
         );
-    }
-    if let Some(n) = slg_threads {
-        let rows = match run_slg_comparison(n) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("FAIL: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("\nParallel SLG: single-query fixpoint time at {n} worker(s) vs. sequential");
-        println!(
-            "{:<12} {:>8} {:>12} {:>12} {:>8} {:>10} {:>6} {:>7}",
-            "Program", "threads", "sequential", "parallel", "speedup", "imbalance", "msgs", "idle%"
-        );
-        for r in &rows {
-            println!(
-                "{:<12} {:>8} {:>10}ms {:>10}ms {:>8.2} {:>10.2} {:>6} {:>7.1}",
-                r.program,
-                r.threads,
-                ms(r.sequential),
-                ms(r.parallel),
-                r.speedup(),
-                r.imbalance,
-                r.msgs_sent,
-                r.idle_pct
-            );
-        }
-    }
-    if want_domains {
-        let rows = match run_domain_comparison() {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("FAIL: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "\nProp domain comparison: Table 1/2 groundness under each backend \
-             (identical results enforced)"
-        );
-        println!(
-            "{:<20} {:<8} {:>12} {:>12} {:>12} {:>10}",
-            "Program", "domain", "tabled", "direct", "Table(bytes)", "BDD nodes"
-        );
-        for r in &rows {
-            println!(
-                "{:<20} {:<8} {:>10}ms {:>10}ms {:>12} {:>10}",
-                r.program,
-                r.domain.name(),
-                ms(r.tabled),
-                ms(r.direct),
-                r.table_bytes,
-                r.bdd_nodes
-            );
-        }
-    }
-    if want_sched {
-        println!("\nScheduler comparison: groundness workload under each worklist strategy");
-        println!(
-            "{:<12} {:<12} {:>8} {:>8} {:>8} {:>12}",
-            "Program", "strategy", "steps", "answers", "dups", "Table(bytes)"
-        );
-        for r in scheduler_rows() {
-            println!(
-                "{:<12} {:<12} {:>8} {:>8} {:>8} {:>12}",
-                r.program, r.strategy, r.steps, r.answers, r.duplicates, r.table_bytes
-            );
-        }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepts_table_and_profile_in_any_order() {
+        assert_eq!(parse_args::<&str>(&[]), Ok(Options::default()));
+        for n in 1..=4u32 {
+            let v = n.to_string();
+            assert_eq!(
+                parse_args(&["--table", v.as_str()]),
+                Ok(Options {
+                    table: Some(n),
+                    profile: false
+                })
+            );
+        }
+        let both = Options {
+            table: Some(3),
+            profile: true,
+        };
+        assert_eq!(parse_args(&["--table", "3", "--profile"]), Ok(both));
+        assert_eq!(parse_args(&["--profile", "--table", "3"]), Ok(both));
+    }
+
+    #[test]
+    fn rejects_everything_else() {
+        for bad in [
+            &["--table", "7"][..],
+            &["--table", "9"],
+            &["--table", "0"],
+            &["--table", "two"],
+            &["--table"],
+            &["--tabel", "2"],
+            &["--json"],
+            &["--jobs", "4"],
+            &["--profile", "--profile"],
+            &["--table", "1", "--table", "2"],
+            &["2"],
+        ] {
+            assert!(parse_args(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -11,8 +11,9 @@
 
 use proptest::prelude::*;
 use tablog_core::direct::DirectAnalyzer;
-use tablog_core::groundness::{GroundnessAnalyzer, GroundnessReport};
+use tablog_core::groundness::{EntryPoint, GroundnessAnalyzer, GroundnessReport};
 use tablog_domain::DomainKind;
+use tablog_syntax::{parse_program, Program};
 
 /// Everything observable about one predicate's tabled-analysis result, in a
 /// canonical order.
@@ -45,18 +46,41 @@ fn tabled_fingerprint(report: &GroundnessReport) -> Vec<PredFp> {
         .collect()
 }
 
-fn run_tabled(src: &str, domain: DomainKind) -> Result<Vec<PredFp>, String> {
+/// Parses a suite program and its entry query for a goal-directed run.
+fn with_entry(src: &str, entry: &str) -> (Program, [EntryPoint; 1]) {
+    let program = parse_program(src).expect("suite program parses");
+    let entry = EntryPoint::parse(entry).expect("suite entry parses");
+    (program, [entry])
+}
+
+/// Runs the tabled analysis with open calls, or goal-directed from `entry`.
+fn run_tabled(src: &str, entry: Option<&str>, domain: DomainKind) -> Result<Vec<PredFp>, String> {
     let mut an = GroundnessAnalyzer::new();
     an.options.domain = domain;
-    an.analyze_source(src)
+    let report = match entry {
+        None => an.analyze_source(src),
+        Some(entry) => {
+            let (program, entries) = with_entry(src, entry);
+            an.analyze_with_entries(&program, &entries)
+        }
+    };
+    report
         .map(|r| tabled_fingerprint(&r))
         .map_err(|e| e.to_string())
 }
 
-fn run_direct(src: &str, domain: DomainKind) -> Result<Vec<String>, String> {
+/// Runs the direct analysis with open calls, or goal-directed from `entry`.
+fn run_direct(src: &str, entry: Option<&str>, domain: DomainKind) -> Result<Vec<String>, String> {
     let mut an = DirectAnalyzer::new();
     an.domain = domain;
-    an.analyze_source(src)
+    let report = match entry {
+        None => an.analyze_source(src),
+        Some(entry) => {
+            let (program, entries) = with_entry(src, entry);
+            an.analyze_with_entries(&program, &entries)
+        }
+    };
+    report
         .map(|r| {
             r.predicates()
                 .map(|p| {
@@ -73,22 +97,26 @@ fn run_direct(src: &str, domain: DomainKind) -> Result<Vec<String>, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Both analyzers agree across backends on every Table 1/2 suite program.
+/// Both analyzers agree across backends on every Table 1/2 suite program,
+/// with open calls and goal-directed from the program's entry query (the
+/// Table 1/2 workload).
 #[test]
 fn suite_programs_agree_across_backends() {
     for b in tablog_suite::logic_benchmarks() {
-        assert_eq!(
-            run_tabled(b.source, DomainKind::Table),
-            run_tabled(b.source, DomainKind::Bdd),
-            "tabled groundness diverged on {}",
-            b.name
-        );
-        assert_eq!(
-            run_direct(b.source, DomainKind::Table),
-            run_direct(b.source, DomainKind::Bdd),
-            "direct groundness diverged on {}",
-            b.name
-        );
+        for entry in [None, Some(b.entry)] {
+            assert_eq!(
+                run_tabled(b.source, entry, DomainKind::Table),
+                run_tabled(b.source, entry, DomainKind::Bdd),
+                "tabled groundness diverged on {} (entry {entry:?})",
+                b.name
+            );
+            assert_eq!(
+                run_direct(b.source, entry, DomainKind::Table),
+                run_direct(b.source, entry, DomainKind::Bdd),
+                "direct groundness diverged on {} (entry {entry:?})",
+                b.name
+            );
+        }
     }
 }
 
@@ -173,14 +201,14 @@ proptest! {
     ) {
         let src = render_program(&clauses);
         prop_assert_eq!(
-            run_tabled(&src, DomainKind::Table),
-            run_tabled(&src, DomainKind::Bdd),
+            run_tabled(&src, None, DomainKind::Table),
+            run_tabled(&src, None, DomainKind::Bdd),
             "tabled groundness diverged on:\n{}",
             src
         );
         prop_assert_eq!(
-            run_direct(&src, DomainKind::Table),
-            run_direct(&src, DomainKind::Bdd),
+            run_direct(&src, None, DomainKind::Table),
+            run_direct(&src, None, DomainKind::Bdd),
             "direct groundness diverged on:\n{}",
             src
         );

@@ -31,10 +31,6 @@
 //!                                       the partial answers instead of
 //!                                       failing. --metrics writes the
 //!                                       snapshot series as OpenMetrics text
-//! tablog bench-diff OLD.json NEW.json [--max-time-regress PCT]
-//!                   [--max-bytes-regress PCT] [--max-heap-regress PCT]
-//!                                       compare two paper_tables --json
-//!                                       documents; exit 1 on regression
 //! tablog explain FILE GOAL [--depth N] [--analysis A]
 //!                                       justification trees for GOAL's
 //!                                       answers (A: ground|depthk|strict|
@@ -104,7 +100,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage: tablog <query|tables|stats|profile|timeline|workers|watch|bench-diff|explain|forest|ground|depthk|modes|strict|types|run> FILE [ARGS…]\n\
+    "usage: tablog <query|tables|stats|profile|timeline|workers|watch|explain|forest|ground|depthk|modes|strict|types|run> FILE [ARGS…]\n\
      tables  FILE GOAL [--top N]  (--top/--json: per-table heap attribution)\n\
      profile FILE GOAL [--folded OUT]  (span timings; collapsed stacks)\n\
      timeline FILE GOAL [--out trace.json] [--counters]\n\
@@ -118,8 +114,6 @@ fn usage() -> String {
                        [--deadline MS] [--max-table-bytes B]\n\
                                   (budgeted evaluation with live health\n\
                                    snapshots; partial answers on a trip)\n\
-     bench-diff OLD.json NEW.json [--max-time-regress PCT] [--max-bytes-regress PCT]\n\
-                                  [--max-heap-regress PCT]\n\
      explain FILE GOAL [--depth N] [--analysis ground|depthk|strict|direct]\n\
      forest  FILE GOAL [--dot OUT]\n\
      ground|depthk accept multiple FILEs; --jobs N analyzes them concurrently\n\
@@ -383,7 +377,7 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
 /// Positional (non-flag) arguments: skips `--flag value` pairs for the
 /// value-taking flags and bare `--flags` for the rest.
 fn positional(args: &[String]) -> Vec<&String> {
-    const VALUED: [&str; 16] = [
+    const VALUED: [&str; 13] = [
         "--entry",
         "--k",
         "--depth",
@@ -392,9 +386,6 @@ fn positional(args: &[String]) -> Vec<&String> {
         "--top",
         "--folded",
         "--out",
-        "--max-time-regress",
-        "--max-bytes-regress",
-        "--max-heap-regress",
         "--interval",
         "--metrics",
         "--max-steps",
@@ -641,48 +632,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     }
                 }
             }
-            Ok(())
-        }
-        "bench-diff" => {
-            let old_path = args.get(1).ok_or_else(usage)?;
-            let new_path = args.get(2).ok_or_else(usage)?;
-            let pct = |name: &str, default: f64| -> Result<f64, String> {
-                flag_value(args, name)
-                    .map(|v| {
-                        v.parse::<f64>()
-                            .map_err(|_| format!("bad {name} value {v}"))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let max_time = pct("--max-time-regress", 25.0)?;
-            let max_bytes = pct("--max-bytes-regress", 5.0)?;
-            let max_heap = pct("--max-heap-regress", 5.0)?;
-            let parse = |path: &str| -> Result<tablog_trace::json::JsonValue, String> {
-                let text = read_file(path)?;
-                tablog_trace::json::parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))
-            };
-            let old = parse(old_path)?;
-            let new = parse(new_path)?;
-            let diff = tablog_bench::bench_diff(&old, &new, max_time, max_bytes, max_heap);
-            for w in &diff.warnings {
-                eprintln!("warning: {w}");
-            }
-            for f in &diff.failures {
-                eprintln!("FAIL: {f}");
-            }
-            if diff.is_regression() {
-                return Err(format!(
-                    "bench-diff: {} regression(s) beyond thresholds \
-                     (time {max_time}%, bytes {max_bytes}%, heap {max_heap}%)",
-                    diff.failures.len()
-                ));
-            }
-            println!(
-                "bench-diff passed: no regressions beyond thresholds \
-                 (time {max_time}%, bytes {max_bytes}%, heap {max_heap}%), {} warning(s)",
-                diff.warnings.len()
-            );
             Ok(())
         }
         "timeline" => {

@@ -1,11 +1,20 @@
 //! Integration tests: run every analyzer over the full benchmark suite and
 //! cross-check the implementations against each other — the tabled engine
-//! vs. the hand-coded direct analyzer vs. the magic-sets bottom-up route.
+//! vs. the hand-coded direct analyzer vs. the magic-sets bottom-up route,
+//! and each scheduling strategy against depth-first. The deterministic
+//! table-space figures of the Table 1/3/4 rows are pinned by
+//! `tests/golden/suite_tables.txt`; re-bless an intentional change with
+//! `UPDATE_GOLDEN=1 cargo test --test analysis_suite`.
 
+use std::path::PathBuf;
+use tablog_core::analyze_many;
 use tablog_core::depthk::DepthKAnalyzer;
 use tablog_core::direct::DirectAnalyzer;
-use tablog_core::groundness::{transform_program, EntryPoint, GroundnessAnalyzer, IffMode};
+use tablog_core::groundness::{
+    transform_program, EntryPoint, GroundnessAnalyzer, GroundnessReport, IffMode,
+};
 use tablog_core::strictness::StrictnessAnalyzer;
+use tablog_engine::Scheduling;
 use tablog_magic::BottomUp;
 use tablog_suite::{depthk_benchmarks, fun_benchmarks, logic_benchmarks};
 use tablog_syntax::parse_program;
@@ -162,4 +171,159 @@ fn depthk_completes_on_every_table4_benchmark() {
             }
         }
     }
+}
+
+/// Order-independent fingerprint of a groundness report's answer sets:
+/// per predicate, the sorted success rows, sorted call patterns, and the
+/// per-argument meet, plus the engine's unique-answer and subgoal counts.
+/// Two schedulers computed the same fixpoint iff these are equal.
+fn groundness_fingerprint(r: &GroundnessReport) -> Vec<String> {
+    let rows = |rows: &[Vec<Option<bool>>]| {
+        let mut v: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|b| match b {
+                        Some(true) => 'g',
+                        Some(false) => 'n',
+                        None => '?',
+                    })
+                    .collect::<String>()
+            })
+            .collect();
+        v.sort();
+        v.join("|")
+    };
+    let mut fp: Vec<String> = r
+        .predicates()
+        .map(|p| {
+            format!(
+                "{}/{} success[{}] calls[{}] meet{:?}",
+                p.name,
+                p.arity,
+                rows(&p.success_rows),
+                rows(&p.call_patterns),
+                p.definitely_ground
+            )
+        })
+        .collect();
+    fp.push(format!(
+        "answers={} subgoals={}",
+        r.stats.answers, r.stats.subgoals
+    ));
+    fp
+}
+
+#[test]
+fn every_scheduler_reaches_the_depth_first_fixpoint_on_table1_queries() {
+    for b in logic_benchmarks() {
+        let program = parse_program(b.source).unwrap();
+        let entry = EntryPoint::parse(b.entry).unwrap();
+        let run = |scheduling: Scheduling, threads: usize| {
+            let mut an = GroundnessAnalyzer::new();
+            an.options.scheduling = scheduling;
+            an.options.threads = threads;
+            let report = an
+                .analyze_with_entries(&program, std::slice::from_ref(&entry))
+                .unwrap_or_else(|e| panic!("{} under {scheduling}: {e}", b.name));
+            groundness_fingerprint(&report)
+        };
+        let reference = run(Scheduling::DepthFirst, 0);
+        for (scheduling, threads) in [
+            (Scheduling::BreadthFirst, 0),
+            (Scheduling::Batched, 0),
+            (Scheduling::Parallel, 2),
+            (Scheduling::Parallel, 4),
+        ] {
+            assert_eq!(
+                run(scheduling, threads),
+                reference,
+                "{}: {scheduling} (threads {threads}) diverged from depth_first",
+                b.name
+            );
+        }
+    }
+}
+
+/// One golden line per Table 1, 3 and 4 row: the deterministic figures of
+/// the workload `paper_tables` prints (table bytes as in its `Table(bytes)`
+/// column, plus the engine's unique answers and subgoals).
+fn suite_table_line(
+    table: u32,
+    program: &str,
+    table_bytes: usize,
+    answers: usize,
+    subgoals: usize,
+) -> String {
+    format!("table{table} {program:<10} table_bytes={table_bytes} answers={answers} subgoals={subgoals}")
+}
+
+/// Computes the golden lines on `jobs` worker threads, one engine session
+/// per program.
+fn suite_table_lines(jobs: usize) -> String {
+    let table1 = analyze_many(jobs, &logic_benchmarks(), |b| {
+        let program = parse_program(b.source).unwrap();
+        let entry = EntryPoint::parse(b.entry).unwrap();
+        let r = GroundnessAnalyzer::new()
+            .analyze_with_entries(&program, std::slice::from_ref(&entry))
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        suite_table_line(
+            1,
+            b.name,
+            r.table_bytes(),
+            r.stats.answers,
+            r.stats.subgoals,
+        )
+    });
+    let table3 = analyze_many(jobs, &fun_benchmarks(), |b| {
+        let r = StrictnessAnalyzer::new()
+            .analyze_source(b.source)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        suite_table_line(
+            3,
+            b.name,
+            r.table_bytes(),
+            r.stats.answers,
+            r.stats.subgoals,
+        )
+    });
+    let table4 = analyze_many(jobs, &depthk_benchmarks(), |b| {
+        let program = parse_program(b.source).unwrap();
+        let entry = EntryPoint::parse(b.entry).unwrap();
+        let r = DepthKAnalyzer::new(1)
+            .analyze_with_entries(&program, std::slice::from_ref(&entry))
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        suite_table_line(
+            4,
+            b.name,
+            r.table_bytes(),
+            r.stats.answers,
+            r.stats.subgoals,
+        )
+    });
+    let mut out = String::new();
+    for line in table1.iter().chain(&table3).chain(&table4) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn suite_table_space_matches_golden_file() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suite_tables.txt");
+    // Blessed sequentially and checked on four workers, so a pass also
+    // shows `analyze_many` reproduces the sequential rows.
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, suite_table_lines(1)).expect("write golden");
+        return;
+    }
+    let got = suite_table_lines(4);
+    let want =
+        std::fs::read_to_string(&path).expect("golden file exists (UPDATE_GOLDEN=1 to create)");
+    assert_eq!(
+        got, want,
+        "suite table space drifted from the golden file; \
+         re-bless with UPDATE_GOLDEN=1 if the change is intentional"
+    );
 }
