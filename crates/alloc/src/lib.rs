@@ -16,8 +16,10 @@
 //! static ALLOC: tablog_alloc::TrackingAlloc = tablog_alloc::TrackingAlloc;
 //! ```
 //!
-//! (`tablog-bench` gates exactly this behind its `track-alloc` feature for
-//! the `paper_tables` binary). Code that *measures* uses [`HeapScope`]:
+//! Two binaries do: the `e2e` benchmark (`crates/bench/src/bin/e2e`), for
+//! its `peak_heap_mb` metric and per-layer heap, and the root package's
+//! `tests/forest_footprint.rs`, which bounds the engine's peak heap on two
+//! suite rows. Code that *measures* uses [`HeapScope`]:
 //! `begin` resets the peak to the current live level, `measure` reports the
 //! delta. When the tracking allocator is not installed every counter stays
 //! zero, [`is_tracking`] reports `false`, and `measure` returns `None` — so
@@ -29,8 +31,8 @@
 //!   `begin` resets it. Sequential, non-overlapping phases measure
 //!   correctly; interleaved scopes see each other's allocations.
 //! * **Parallel work contaminates.** The counters are process-wide, so a
-//!   scope around one analysis measures every thread's traffic. The bench
-//!   harness only records heap when running sequentially (`--jobs 1`).
+//!   scope around one analysis measures every thread's traffic. Both
+//!   installers measure one analysis at a time on a single thread.
 //! * **Numbers are requested bytes**, not allocator-internal footprint:
 //!   `size` as passed to `alloc`, excluding fragmentation and metadata.
 

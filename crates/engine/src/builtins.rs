@@ -14,7 +14,7 @@
 
 use crate::error::EngineError;
 use std::cmp::Ordering;
-use tablog_term::{atom, int, intern, structure, sym_name, var, Bindings, Functor, Term};
+use tablog_term::{atom, int, intern, structure, sym_name, sym_str, var, Bindings, Functor, Term};
 
 /// A deterministic builtin: binds into `b`, returns whether it succeeded.
 pub type DetFn = fn(&mut Bindings, &[Term]) -> Result<bool, EngineError>;
@@ -37,7 +37,7 @@ pub enum BuiltinImpl {
 /// Looks up the builtin implementing `f`, if any.
 pub fn lookup_builtin(f: Functor) -> Option<BuiltinImpl> {
     use BuiltinImpl::*;
-    let name = sym_name(f.name);
+    let name = sym_str(f.name);
     if name == "$iff" && f.arity >= 1 {
         return Some(NonDet(iff));
     }
@@ -50,7 +50,7 @@ pub fn lookup_builtin(f: Functor) -> Option<BuiltinImpl> {
             Ok(true)
         }));
     }
-    Some(match (name.as_str(), f.arity) {
+    Some(match (name, f.arity) {
         ("true", 0) => Det(|_, _| Ok(true)),
         ("fail", 0) | ("false", 0) => Det(|_, _| Ok(false)),
         ("=", 2) => Det(|b, a| Ok(tablog_term::unify(b, &a[0], &a[1]))),
@@ -97,9 +97,8 @@ pub fn is_builtin(f: Functor) -> bool {
     if lookup_builtin(f).is_some() {
         return true;
     }
-    let name = sym_name(f.name);
     matches!(
-        (name.as_str(), f.arity),
+        (sym_str(f.name), f.arity),
         (",", 2) | (";", 2) | ("->", 2) | ("\\+", 1) | ("not", 1) | ("call", 1) | ("!", 0)
     )
 }
@@ -160,11 +159,11 @@ pub fn term_compare(t1: &Term, t2: &Term) -> Ordering {
     match (t1, t2) {
         (Term::Var(v), Term::Var(w)) => v.cmp(w),
         (Term::Int(i), Term::Int(j)) => i.cmp(j),
-        (Term::Atom(a), Term::Atom(b)) => sym_name(*a).cmp(&sym_name(*b)),
+        (Term::Atom(a), Term::Atom(b)) => sym_str(*a).cmp(sym_str(*b)),
         (Term::Struct(f, xs), Term::Struct(g, ys)) => xs
             .len()
             .cmp(&ys.len())
-            .then_with(|| sym_name(*f).cmp(&sym_name(*g)))
+            .then_with(|| sym_str(*f).cmp(sym_str(*g)))
             .then_with(|| {
                 xs.iter()
                     .zip(ys.iter())
@@ -377,8 +376,8 @@ fn list_to_vec(b: &Bindings, t: &Term) -> Option<Vec<Term>> {
     let mut cur = b.walk(t).clone();
     loop {
         match &cur {
-            Term::Atom(s) if sym_name(*s) == "[]" => return Some(out),
-            Term::Struct(s, args) if args.len() == 2 && sym_name(*s) == "." => {
+            Term::Atom(s) if sym_str(*s) == "[]" => return Some(out),
+            Term::Struct(s, args) if args.len() == 2 && sym_str(*s) == "." => {
                 out.push(b.resolve(&args[0]));
                 cur = b.walk(&args[1]).clone();
             }

@@ -12,14 +12,20 @@ use tablog_trace::TraceEvent;
 
 impl Machine<'_> {
     pub(crate) fn return_answer(&mut self, cid: usize, aidx: usize) -> Result<(), EngineError> {
-        // Canonical terms are `Copy` arena handles, so pulling the consumer's
-        // coordinates out is free — no `Consumer` or answer clone on this
-        // path. Only the provenance trail (off by default) is cloned.
+        // A consumer is a few ids, so pulling its coordinates out is free —
+        // no `Consumer` or answer clone on this path. Only the provenance
+        // trail (off by default) is cloned.
         let (subgoal, split, canon, watched) = {
             let c = &self.consumers[cid];
-            (c.node.subgoal, c.node.split, c.node.canon, c.watched)
+            let canon = self.arena.handle(c.node.root);
+            (
+                c.node.subgoal as usize,
+                self.split(&c.node),
+                canon,
+                c.watched as usize,
+            )
         };
-        let mut b = Bindings::new();
+        let mut b = self.take_bindings();
         let ts = self.arena.instantiate(&canon, &mut b);
         let (template, goals) = ts.split_at(split);
         let (g, rest) = goals
@@ -47,9 +53,10 @@ impl Machine<'_> {
                     answer: aidx,
                 });
             }
-            let n = self.make_node(subgoal, split, &b, template, rest, prov);
+            let n = self.make_node(subgoal, &b, template, rest, prov);
             self.push(Task::Expand(n));
         }
+        self.give_bindings(b);
         Ok(())
     }
 
@@ -114,10 +121,10 @@ impl Machine<'_> {
             for i in 0..self.subgoals[sid].consumers.len() {
                 let cid = self.subgoals[sid].consumers[i];
                 debug_assert_eq!(
-                    self.consumers[cid].next, idx,
+                    self.consumers[cid].next as usize, idx,
                     "consumer cursor out of step with the answer table"
                 );
-                self.consumers[cid].next = idx + 1;
+                self.consumers[cid].next = idx as u32 + 1;
                 self.push(Task::Return(cid, idx));
             }
             // Parallel runs: forward exactly this answer to every consumer

@@ -16,7 +16,6 @@ impl Machine<'_> {
         &mut self,
         imp: BuiltinImpl,
         sid: usize,
-        split: usize,
         template: &[Term],
         g: &Term,
         rest: &[Term],
@@ -27,7 +26,7 @@ impl Machine<'_> {
             BuiltinImpl::Det(f) => {
                 let m = b.mark();
                 if f(b, g.args())? {
-                    let n = self.make_node(sid, split, b, template, rest, prov);
+                    let n = self.make_node(sid, b, template, rest, prov);
                     self.push(Task::Expand(n));
                 }
                 b.undo_to(m);
@@ -43,7 +42,7 @@ impl Machine<'_> {
                         .zip(tuple.iter())
                         .all(|(x, y)| self.unif(b, x, y));
                     if ok {
-                        let n = self.make_node(sid, split, b, template, rest, prov.clone());
+                        let n = self.make_node(sid, b, template, rest, prov.clone());
                         self.push(Task::Expand(n));
                     }
                     b.undo_to(m);
@@ -58,7 +57,6 @@ impl Machine<'_> {
         &mut self,
         f: Functor,
         sid: usize,
-        split: usize,
         template: &[Term],
         g: &Term,
         rest: &[Term],
@@ -99,7 +97,7 @@ impl Machine<'_> {
                         index: cidx,
                     });
                 }
-                let n = self.make_node(sid, split, b, template, &goals, prov);
+                let n = self.make_node(sid, b, template, &goals, prov);
                 self.push(Task::Expand(n));
             }
             b.undo_to(m);

@@ -35,20 +35,21 @@ use crate::session::Evaluation;
 use crate::table::{SubgoalState, TableStats};
 use std::collections::{HashMap, HashSet};
 use tablog_term::{
-    sym_name, unify, unify_occurs, Bindings, CanonicalTerm, Functor, Term, TermArena, TermId, Var,
+    sym_str, unify, unify_occurs, Bindings, CanonicalTerm, Functor, Term, TermArena, TermId, Var,
 };
 use tablog_trace::{
     now_ns, CounterSample, HealthSnapshot, SpanEmitter, StallWatchdog, TraceEvent, TraceSink,
 };
 
+/// One derivation node: 16 bytes.
 #[derive(Clone, Debug)]
 pub(crate) struct Node {
     /// The subgoal whose answers this derivation contributes to.
-    pub(crate) subgoal: usize,
-    /// `canon`'s first `split` member terms are the answer template; the
-    /// rest is the goal list.
-    pub(crate) split: usize,
-    pub(crate) canon: CanonicalTerm,
+    pub(crate) subgoal: u32,
+    /// Root of the node's canonical tuple in the session arena: the answer
+    /// template (as many terms as the subgoal's arity, see
+    /// [`Machine::split`]) followed by the goal list.
+    pub(crate) root: TermId,
     /// Derivation trail (clauses resolved, table answers consumed) on the
     /// path to this node. Always `None` unless
     /// `EngineOptions::record_provenance` is set, so the disabled path
@@ -58,16 +59,17 @@ pub(crate) struct Node {
     pub(crate) prov: Option<Box<NodeProv>>,
 }
 
+/// A node suspended on a table: 24 bytes.
 #[derive(Clone, Debug)]
 pub(crate) struct Consumer {
     pub(crate) node: Node,
-    pub(crate) watched: usize,
+    pub(crate) watched: u32,
     /// Cursor into the watched table: the next answer index this consumer
     /// has yet to be scheduled. Advanced when answers are handed out, so
     /// every answer is scheduled to every consumer exactly once — new
     /// consumers start at the current table size after back-filling, and
     /// `add_answer` extends each cursor by exactly the inserted answer.
-    pub(crate) next: usize,
+    pub(crate) next: u32,
 }
 
 #[derive(Debug)]
@@ -75,6 +77,12 @@ pub(crate) enum Task {
     Expand(Node),
     Return(usize, usize),
 }
+
+const _: () = {
+    assert!(std::mem::size_of::<Node>() == 16);
+    assert!(std::mem::size_of::<Consumer>() == 24);
+    assert!(std::mem::size_of::<Task>() == 24);
+};
 
 pub(crate) struct Machine<'e> {
     pub(crate) db: &'e Database,
@@ -94,10 +102,12 @@ pub(crate) struct Machine<'e> {
     /// *set* of nodes, so a variant-identical resolvent reached along two
     /// different derivation paths is expanded only once. This collapses
     /// the combinatorial re-derivation that long conjunctions of
-    /// enumerative literals otherwise cause. Keys are arena ids — no
-    /// canonical-term copies are stored. Membership is checked *before*
-    /// the scheduler sees the task, so it is strategy-independent.
-    pub(crate) seen_nodes: HashSet<(usize, usize, TermId)>,
+    /// enumerative literals otherwise cause. Keys pack the subgoal and
+    /// the node's arena root as `subgoal << 32 | root` (the template/goal
+    /// split is the subgoal's arity, so it adds nothing to the key).
+    /// Membership is checked *before* the scheduler sees the task, so it is
+    /// strategy-independent.
+    pub(crate) seen_nodes: HashSet<u64>,
     pub(crate) stats: TableStats,
     /// Event observer, `None` unless `EngineOptions::trace` is set. Events
     /// are only constructed under `if let Some(..)`, so the disabled path
@@ -136,6 +146,10 @@ pub(crate) struct Machine<'e> {
     /// Timestamp of machine creation, taken only when budgets or health
     /// reporting need one (0 otherwise, never read in that case).
     start_ns: u64,
+    /// Cleared binding stores for reuse, so a resolution step allocates no
+    /// new store. A pool, not one store: generator spawn runs inside an
+    /// expansion that still holds its own.
+    bindings_pool: Vec<Bindings>,
 }
 
 /// Book-keeping for periodic [`HealthSnapshot`] emission: the cadence
@@ -189,7 +203,25 @@ impl<'e> Machine<'e> {
                 }
             }),
             start_ns,
+            bindings_pool: Vec::new(),
         }
+    }
+
+    /// An empty binding store, reused from the pool when one is free.
+    pub(crate) fn take_bindings(&mut self) -> Bindings {
+        self.bindings_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a store taken with [`Machine::take_bindings`] to the pool.
+    pub(crate) fn give_bindings(&mut self, mut b: Bindings) {
+        b.clear();
+        self.bindings_pool.push(b);
+    }
+
+    /// Number of leading member terms of `node`'s tuple that form the
+    /// answer template: the arity of the subgoal it derives answers for.
+    pub(crate) fn split(&self, node: &Node) -> usize {
+        self.subgoals[node.subgoal as usize].functor.arity
     }
 
     /// Emits one counter time-series sample to the trace sink. Only called
@@ -341,7 +373,7 @@ impl<'e> Machine<'e> {
             Task::Expand(n) => {
                 if !self
                     .seen_nodes
-                    .insert((n.subgoal, n.split, n.canon.root_id()))
+                    .insert(u64::from(n.subgoal) << 32 | n.root.index() as u64)
                 {
                     return;
                 }
@@ -453,12 +485,8 @@ impl<'e> Machine<'e> {
             });
         }
         self.subgoals.push(state);
-        let node = Node {
-            subgoal: root,
-            split: template.len(),
-            canon: self.arena.canonicalize2(b0, template, goals),
-            prov: self.fresh_prov(),
-        };
+        let prov = self.fresh_prov();
+        let node = self.make_node(root, b0, template, goals, prov);
         self.push(Task::Expand(node));
         root
     }
@@ -472,7 +500,7 @@ impl<'e> Machine<'e> {
         match task {
             Task::Expand(n) => {
                 if spans_on {
-                    let pred = self.subgoals[n.subgoal].functor;
+                    let pred = self.subgoals[n.subgoal as usize].functor;
                     self.span_enter("dispatch", Some(pred));
                 }
                 let r = self.expand(n);
@@ -483,7 +511,7 @@ impl<'e> Machine<'e> {
             }
             Task::Return(c, a) => {
                 if spans_on {
-                    let pred = self.subgoals[self.consumers[c].watched].functor;
+                    let pred = self.subgoals[self.consumers[c].watched as usize].functor;
                     self.span_enter("answer_return", Some(pred));
                 }
                 let r = self.return_answer(c, a);
@@ -568,10 +596,9 @@ impl<'e> Machine<'e> {
         }
         for task in continuations {
             if let Task::Expand(n) = task {
-                // `canon` packs template ++ goals; length `split` means no
+                // The node packs template ++ goals; length `split` means no
                 // goals remain and expansion is exactly the answer insert.
-                let mut b = Bindings::new();
-                if self.arena.instantiate(&n.canon, &mut b).len() == n.split {
+                if self.arena.tuple_len(&self.arena.handle(n.root)) == self.split(&n) {
                     self.expand(n)?;
                 }
             }
@@ -588,48 +615,49 @@ impl<'e> Machine<'e> {
         self.opts.record_provenance.then(Box::<NodeProv>::default)
     }
 
+    /// Interns `template ++ goals` as a derivation node of `subgoal`.
     pub(crate) fn make_node(
         &mut self,
         subgoal: usize,
-        split: usize,
         b: &Bindings,
         template: &[Term],
         goals: &[Term],
         prov: Option<Box<NodeProv>>,
     ) -> Node {
+        debug_assert_eq!(
+            template.len(),
+            self.subgoals[subgoal].functor.arity,
+            "answer template and subgoal arity disagree"
+        );
         Node {
-            subgoal,
-            split,
-            canon: self.arena.canonicalize2(b, template, goals),
+            subgoal: subgoal as u32,
+            root: self.arena.canonicalize2(b, template, goals).root_id(),
             prov,
         }
     }
 
     pub(crate) fn expand(&mut self, node: Node) -> Result<(), EngineError> {
-        let mut b = Bindings::new();
-        let ts = self.arena.instantiate(&node.canon, &mut b);
-        let (template, goals) = ts.split_at(node.split);
-        let Some((g, rest)) = goals.split_first() else {
-            let ans = self.arena.canonicalize(&b, template);
-            self.add_answer(node.subgoal, ans, node.prov);
-            return Ok(());
+        let mut b = self.take_bindings();
+        let ts = self
+            .arena
+            .instantiate(&self.arena.handle(node.root), &mut b);
+        let (template, goals) = ts.split_at(self.split(&node));
+        let sid = node.subgoal as usize;
+        let r = match goals.split_first() {
+            None => {
+                let ans = self.arena.canonicalize(&b, template);
+                self.add_answer(sid, ans, node.prov);
+                Ok(())
+            }
+            Some((g, rest)) => self.solve_goal(sid, template, g, rest, &mut b, node.prov),
         };
-        self.solve_goal(
-            node.subgoal,
-            node.split,
-            template,
-            g,
-            rest,
-            &mut b,
-            node.prov,
-        )
+        self.give_bindings(b);
+        r
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn solve_goal(
         &mut self,
         sid: usize,
-        split: usize,
         template: &[Term],
         g: &Term,
         rest: &[Term],
@@ -641,13 +669,12 @@ impl<'e> Machine<'e> {
             Some(f) => f,
             None => return Err(EngineError::BadGoal(format!("{g}"))),
         };
-        let name = sym_name(f.name);
         let args = g.args();
-        match (name.as_str(), f.arity) {
+        match (sym_str(f.name), f.arity) {
             (",", 2) => {
                 let mut goals = vec![args[0].clone(), args[1].clone()];
                 goals.extend_from_slice(rest);
-                let n = self.make_node(sid, split, b, template, &goals, prov);
+                let n = self.make_node(sid, b, template, &goals, prov);
                 self.push(Task::Expand(n));
                 Ok(())
             }
@@ -655,7 +682,7 @@ impl<'e> Machine<'e> {
                 // (C -> T ; E) gets soft if-then-else semantics:
                 // (C, T) or (\+ C, E).
                 let (left, right): (Vec<Term>, Vec<Term>) = if let Term::Struct(s, ite) = &args[0] {
-                    if sym_name(*s) == "->" && ite.len() == 2 {
+                    if sym_str(*s) == "->" && ite.len() == 2 {
                         (
                             vec![ite[0].clone(), ite[1].clone()],
                             vec![
@@ -675,7 +702,7 @@ impl<'e> Machine<'e> {
                 for branch in [left, right] {
                     let mut goals = branch;
                     goals.extend_from_slice(rest);
-                    let n = self.make_node(sid, split, b, template, &goals, prov.clone());
+                    let n = self.make_node(sid, b, template, &goals, prov.clone());
                     self.push(Task::Expand(n));
                 }
                 Ok(())
@@ -683,7 +710,7 @@ impl<'e> Machine<'e> {
             ("->", 2) => {
                 let mut goals = vec![args[0].clone(), args[1].clone()];
                 goals.extend_from_slice(rest);
-                let n = self.make_node(sid, split, b, template, &goals, prov);
+                let n = self.make_node(sid, b, template, &goals, prov);
                 self.push(Task::Expand(n));
                 Ok(())
             }
@@ -693,7 +720,7 @@ impl<'e> Machine<'e> {
                 // empty answer set proves nothing, so the continuation must
                 // not be scheduled on the strength of it.
                 if fails && self.truncated.is_none() {
-                    let n = self.make_node(sid, split, b, template, rest, prov);
+                    let n = self.make_node(sid, b, template, rest, prov);
                     self.push(Task::Expand(n));
                 }
                 Ok(())
@@ -701,20 +728,20 @@ impl<'e> Machine<'e> {
             // Cut is approximated by `true`: sound (a superset of solutions)
             // for the minimal-model analyses this engine serves; see README.
             ("!", 0) | ("true", 0) => {
-                let n = self.make_node(sid, split, b, template, rest, prov);
+                let n = self.make_node(sid, b, template, rest, prov);
                 self.push(Task::Expand(n));
                 Ok(())
             }
             ("call", 1) => {
                 let mut goals = vec![args[0].clone()];
                 goals.extend_from_slice(rest);
-                let n = self.make_node(sid, split, b, template, &goals, prov);
+                let n = self.make_node(sid, b, template, &goals, prov);
                 self.push(Task::Expand(n));
                 Ok(())
             }
             _ => {
                 if let Some(imp) = lookup_builtin(f) {
-                    return self.solve_builtin(imp, sid, split, template, &g, rest, b, prov);
+                    return self.solve_builtin(imp, sid, template, &g, rest, b, prov);
                 }
                 if !self.db.is_defined(f) {
                     return match self.opts.unknown {
@@ -723,9 +750,9 @@ impl<'e> Machine<'e> {
                     };
                 }
                 if self.db.is_tabled(f) {
-                    self.solve_tabled(f, sid, split, template, &g, rest, b, prov)
+                    self.solve_tabled(f, sid, template, &g, rest, b, prov)
                 } else {
-                    self.solve_sld(f, sid, split, template, &g, rest, b, prov)
+                    self.solve_sld(f, sid, template, &g, rest, b, prov)
                 }
             }
         }
@@ -736,7 +763,6 @@ impl<'e> Machine<'e> {
         &mut self,
         f: Functor,
         sid: usize,
-        split: usize,
         template: &[Term],
         g: &Term,
         rest: &[Term],
@@ -786,7 +812,7 @@ impl<'e> Machine<'e> {
         if let Some(owner) = self.remote_owner(f) {
             let mut goals = vec![g.clone()];
             goals.extend_from_slice(rest);
-            let node = self.make_node(sid, split, b, template, &goals, prov);
+            let node = self.make_node(sid, b, template, &goals, prov);
             let token = self.remote_waits.len();
             self.remote_waits.push((f, node));
             let call = self.arena.terms(&key);
@@ -809,7 +835,7 @@ impl<'e> Machine<'e> {
         // each answer return extends a copy of it with the consumed answer.
         let mut goals = vec![g.clone()];
         goals.extend_from_slice(rest);
-        let node = self.make_node(sid, split, b, template, &goals, prov);
+        let node = self.make_node(sid, b, template, &goals, prov);
         let cid = self.consumers.len();
         // Back-fill the answers the table already holds and park the cursor
         // at the high-water mark; `add_answer` advances it from there, so
@@ -817,8 +843,8 @@ impl<'e> Machine<'e> {
         let known = self.subgoals[watched].answers.len();
         self.consumers.push(Consumer {
             node,
-            watched,
-            next: known,
+            watched: watched as u32,
+            next: known as u32,
         });
         self.subgoals[watched].consumers.push(cid);
         for idx in 0..known {
@@ -853,7 +879,7 @@ impl<'e> Machine<'e> {
         // Spawn generator nodes: one per resolving program clause. Each
         // starts a fresh derivation trail rooted at its clause — the answers
         // it eventually produces are supported by that clause.
-        let mut b = Bindings::new();
+        let mut b = self.take_bindings();
         let call_args = self.arena.instantiate(&key, &mut b);
         let db = self.db;
         let spans_on = self.spans.is_some();
@@ -884,11 +910,12 @@ impl<'e> Machine<'e> {
                         premises: Vec::new(),
                     })
                 });
-                let n = self.make_node(sid, f.arity, &b, &call_args, &goals, prov);
+                let n = self.make_node(sid, &b, &call_args, &goals, prov);
                 self.push(Task::Expand(n));
             }
             b.undo_to(m);
         }
+        self.give_bindings(b);
         if spans_on {
             self.span_exit();
         }
@@ -913,7 +940,7 @@ impl<'e> Machine<'e> {
 
 pub(crate) fn flatten_conj(t: &Term, out: &mut Vec<Term>) {
     if let Term::Struct(s, args) = t {
-        if args.len() == 2 && sym_name(*s) == "," {
+        if args.len() == 2 && sym_str(*s) == "," {
             flatten_conj(&args[0], out);
             flatten_conj(&args[1], out);
             return;

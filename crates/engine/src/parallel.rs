@@ -405,9 +405,11 @@ impl Machine<'_> {
         if let Some(sink) = self.trace {
             sink.event(&TraceEvent::AnswerReturn { pred });
         }
-        let mut b = Bindings::new();
-        let ts = self.arena.instantiate(&node.canon, &mut b);
-        let (template, goals) = ts.split_at(node.split);
+        let mut b = self.take_bindings();
+        let ts = self
+            .arena
+            .instantiate(&self.arena.handle(node.root), &mut b);
+        let (template, goals) = ts.split_at(self.split(&node));
         let (g, rest) = goals
             .split_first()
             .expect("remote wait has a selected goal");
@@ -422,9 +424,10 @@ impl Machine<'_> {
             .zip(ans_args.iter())
             .all(|(x, y)| self.unif(&mut b, x, y));
         if ok {
-            let n = self.make_node(node.subgoal, node.split, &b, template, rest, None);
+            let n = self.make_node(node.subgoal as usize, &b, template, rest, None);
             self.push(crate::machine::Task::Expand(n));
         }
+        self.give_bindings(b);
         Ok(())
     }
 }
@@ -929,7 +932,7 @@ fn settle_worker(m: &mut Machine<'_>, rx: &Receiver<Msg>) -> Result<(), EngineEr
     }
     for task in continuations {
         if let crate::machine::Task::Expand(n) = task {
-            if m.arena.tuple_len(&n.canon) == n.split {
+            if m.arena.tuple_len(&m.arena.handle(n.root)) == m.split(&n) {
                 m.expand(n)?;
             }
         }

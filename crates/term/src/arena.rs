@@ -9,18 +9,26 @@
 //! [`TermId`] — a `Copy` handle with O(1) equality and hashing. Interning is
 //! *bottom-up*: a node is only created after its children, so structural
 //! equality of subtrees collapses to id equality of children, and the
-//! hash-cons lookup for a node costs one hash-map probe plus a shallow
+//! hash-cons lookup for a node costs one hash-table probe plus a shallow
 //! comparison.
 //!
-//! Each node caches, at intern time:
+//! Each node is a 32-byte record caching, at intern time:
 //!
 //! * its structural **hash** (deterministic across runs — it feeds golden
 //!   traces and benchmark keys, so it must not depend on `RandomState`),
 //! * its **tree bytes** — the footprint an unshared copy would occupy,
-//!   matching [`Term::heap_bytes`], used by the table-space accounting,
-//! * whether it is **ground**, and
-//! * a materialized [`Term`] for the node, so converting back to ordinary
-//!   terms is a handful of `Arc` clones rather than a rebuild.
+//!   matching [`Term::heap_bytes`], used by the table-space accounting, and
+//! * one auxiliary word: for a *ground* compound, the index of its
+//!   materialized [`Term`] in a cache, so converting it back to an ordinary
+//!   term is one `Arc` clone; for a tuple root, its variable count.
+//!
+//! Groundness is derived from the record rather than stored. Children live
+//! in an arena-owned slab, referenced by range. Nodes and children are kept
+//! in fixed-size chunks, so the arena never copies what it already holds as
+//! it grows, and the hash-cons index is an open-addressed table of node ids
+//! probed by the cached hashes. A lookup allocates nothing: children are
+//! collected on a reusable scratch stack and variables are numbered through
+//! a reusable dense map, and only a miss stores anything.
 //!
 //! Arenas are *session-scoped*: each engine run owns a [`TermArena`], so the
 //! interned forest is dropped with the session instead of accumulating for
@@ -35,7 +43,7 @@
 use crate::bindings::Bindings;
 use crate::symbol::Sym;
 use crate::term::{Term, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -52,35 +60,77 @@ impl TermId {
     }
 }
 
-/// The shape of an interned node. Children are ids, never inline terms.
-#[derive(Clone, PartialEq, Eq)]
-enum NodeKind {
+/// The kind of an interned node.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tag {
     /// Canonical variable `_n` (first-occurrence numbering).
-    Var(u32),
+    Var,
     /// 0-ary symbol.
-    Atom(Sym),
+    Atom,
     /// Machine integer.
-    Int(i64),
+    Int,
     /// Compound term `f(c1, …, cn)`, `n ≥ 1`.
-    Struct(Sym, Box<[TermId]>),
+    Struct,
     /// Root of a canonical *tuple* (a call or answer). Tuples appear only
     /// as roots, never as children of other nodes.
-    Tuple(Box<[TermId]>),
+    Tuple,
 }
 
-#[derive(Clone)]
+/// A node to look up or intern, with its children as ids, never inline
+/// terms. Borrowed, so a lookup that hits stores nothing.
+#[derive(Clone, Copy)]
+enum Shape<'k> {
+    Var(u32),
+    Atom(Sym),
+    Int(i64),
+    Struct(Sym, &'k [TermId]),
+    /// Members and the tuple's variable count (derived from the members,
+    /// so not part of its identity).
+    Tuple(&'k [TermId], u32),
+}
+
+/// One interned node: 32 bytes.
+#[derive(Clone, Copy)]
 struct Node {
-    kind: NodeKind,
     /// Structural hash, cached so `CanonicalTerm` hashing never walks.
     hash: u64,
+    /// `Int`: the value's bits. `Struct`/`Tuple`: the children's slab
+    /// range, `start | len << 32` (see [`Arena::kids`]).
+    data: u64,
+    /// `Var`: the canonical number. `Atom`/`Struct`: the symbol index.
+    name: u32,
     /// Bytes an *unshared* copy of this subtree would occupy; matches
     /// [`Term::heap_bytes`] so accounting is comparable across PRs.
-    tree_bytes: usize,
-    /// `true` if no variable occurs below this node.
-    ground: bool,
-    /// Materialized term with canonical variable numbering. `None` only for
-    /// `Tuple` nodes, which have no single-term reading.
-    term: Option<Term>,
+    /// Saturates at `u32::MAX`.
+    tree_bytes: u32,
+    /// Ground `Struct`: index into [`Arena::ground_terms`] ([`NONE`] when
+    /// not ground). `Tuple`: the number of distinct variables.
+    aux: u32,
+    tag: Tag,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
+
+/// Empty slot / absent index.
+const NONE: u32 = u32::MAX;
+
+/// Nodes per chunk: 1024 × 32 B = 32 KiB.
+const NODE_CHUNK_BITS: u32 = 10;
+const NODE_CHUNK: usize = 1 << NODE_CHUNK_BITS;
+/// Child ids per slab chunk: 4096 × 4 B = 16 KiB. A node wider than this
+/// gets a chunk of its own, so no node's children straddle two chunks.
+const KID_CHUNK_BITS: u32 = 12;
+const KID_CHUNK: usize = 1 << KID_CHUNK_BITS;
+
+impl Node {
+    fn is_ground(&self) -> bool {
+        match self.tag {
+            Tag::Var => false,
+            Tag::Atom | Tag::Int => true,
+            Tag::Struct => self.aux != NONE,
+            Tag::Tuple => self.aux == 0,
+        }
+    }
 }
 
 /// Counters describing one arena, for observability.
@@ -93,12 +143,34 @@ pub struct ArenaStats {
     pub interned_bytes: usize,
 }
 
+/// Reusable buffers for canonicalization, empty between calls.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Child ids of the nodes under construction, innermost last.
+    stack: Vec<TermId>,
+    /// Dense variable map: binding-store variable index → canonical
+    /// number, [`NONE`] when not yet seen in the current call.
+    var_index: Vec<u32>,
+    /// Variables numbered in the current call, in first-occurrence order;
+    /// resets `var_index` afterwards.
+    touched: Vec<u32>,
+}
+
 #[derive(Clone, Default)]
 struct Arena {
-    nodes: Vec<Node>,
-    /// Hash-cons index: structural hash → candidate ids. Collisions are
-    /// resolved by a shallow `NodeKind` comparison (children by id).
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Nodes in chunks of [`NODE_CHUNK`], indexed by [`TermId`].
+    nodes: Vec<Vec<Node>>,
+    /// Children slab, in chunks of [`KID_CHUNK`] ids (or one wider node).
+    kids: Vec<Vec<TermId>>,
+    /// The slab chunk being filled.
+    kid_cur: usize,
+    /// Hash-cons index: open-addressed node ids ([`NONE`] = empty), probed
+    /// linearly from each node's hash, at load ≤ ½.
+    index: Vec<u32>,
+    /// Materialized ground compounds, so instantiating one is an `Arc`
+    /// clone rather than a rebuild.
+    ground_terms: Vec<Term>,
+    scratch: Scratch,
 }
 
 /// Arena id of the process-wide shared arena backing the free functions.
@@ -136,140 +208,239 @@ fn combine(h: u64, w: u64) -> u64 {
 }
 
 impl Arena {
-    fn node(&self, id: TermId) -> &Node {
-        &self.nodes[id.index()]
+    fn len(&self) -> usize {
+        self.nodes
+            .last()
+            .map_or(0, |c| (self.nodes.len() - 1) * NODE_CHUNK + c.len())
     }
 
-    fn hash_kind(&self, kind: &NodeKind) -> u64 {
-        match kind {
-            NodeKind::Var(n) => combine(1, u64::from(*n)),
-            NodeKind::Atom(s) => combine(2, s.index() as u64),
-            NodeKind::Int(i) => combine(3, *i as u64),
-            NodeKind::Struct(s, kids) => {
+    fn node(&self, id: TermId) -> &Node {
+        let i = id.index();
+        &self.nodes[i >> NODE_CHUNK_BITS][i & (NODE_CHUNK - 1)]
+    }
+
+    /// The children of a `Struct` or `Tuple` node.
+    fn kids(&self, n: &Node) -> &[TermId] {
+        let start = n.data as u32 as usize;
+        let len = (n.data >> 32) as usize;
+        if len == 0 {
+            return &[];
+        }
+        let off = start & (KID_CHUNK - 1);
+        &self.kids[start >> KID_CHUNK_BITS][off..off + len]
+    }
+
+    /// Copies `ids` into the slab and returns their packed range.
+    fn store_kids(&mut self, ids: &[TermId]) -> u64 {
+        if ids.is_empty() {
+            return 0;
+        }
+        let chunk = if ids.len() > KID_CHUNK {
+            self.kids.push(ids.to_vec());
+            self.kids.len() - 1
+        } else {
+            let full = self
+                .kids
+                .get(self.kid_cur)
+                .is_none_or(|c| c.len() + ids.len() > KID_CHUNK);
+            if full {
+                self.kids.push(Vec::with_capacity(KID_CHUNK));
+                self.kid_cur = self.kids.len() - 1;
+            }
+            let c = &mut self.kids[self.kid_cur];
+            c.extend_from_slice(ids);
+            self.kid_cur
+        };
+        let off = self.kids[chunk].len() - ids.len();
+        let start = (chunk << KID_CHUNK_BITS | off) as u64;
+        debug_assert!(start <= u64::from(u32::MAX), "child slab exhausted");
+        start | (ids.len() as u64) << 32
+    }
+
+    fn hash_shape(&self, shape: Shape<'_>) -> u64 {
+        match shape {
+            Shape::Var(n) => combine(1, u64::from(n)),
+            Shape::Atom(s) => combine(2, s.index() as u64),
+            Shape::Int(i) => combine(3, i as u64),
+            Shape::Struct(s, kids) => {
                 let mut h = combine(4, s.index() as u64);
                 h = combine(h, kids.len() as u64);
-                for k in kids.iter() {
-                    h = combine(h, self.node(*k).hash);
+                for &k in kids {
+                    h = combine(h, self.node(k).hash);
                 }
                 h
             }
-            NodeKind::Tuple(kids) => {
+            Shape::Tuple(kids, _) => {
                 let mut h = combine(5, kids.len() as u64);
-                for k in kids.iter() {
-                    h = combine(h, self.node(*k).hash);
+                for &k in kids {
+                    h = combine(h, self.node(k).hash);
                 }
                 h
             }
         }
     }
 
-    fn intern(&mut self, kind: NodeKind) -> TermId {
-        let hash = self.hash_kind(&kind);
-        if let Some(bucket) = self.buckets.get(&hash) {
-            for &i in bucket {
-                if self.nodes[i as usize].kind == kind {
-                    return TermId(i);
-                }
-            }
+    /// Shallow equality: children compare by id.
+    fn same(&self, n: &Node, shape: Shape<'_>) -> bool {
+        match shape {
+            Shape::Var(k) => n.tag == Tag::Var && n.name == k,
+            Shape::Atom(s) => n.tag == Tag::Atom && n.name == s.0,
+            Shape::Int(i) => n.tag == Tag::Int && n.data == i as u64,
+            Shape::Struct(s, kids) => n.tag == Tag::Struct && n.name == s.0 && self.kids(n) == kids,
+            Shape::Tuple(kids, _) => n.tag == Tag::Tuple && self.kids(n) == kids,
         }
-        let (tree_bytes, ground, term) = match &kind {
-            NodeKind::Var(n) => (node_bytes(), false, Some(Term::Var(Var(*n)))),
-            NodeKind::Atom(s) => (node_bytes(), true, Some(Term::Atom(*s))),
-            NodeKind::Int(i) => (node_bytes(), true, Some(Term::Int(*i))),
-            NodeKind::Struct(s, kids) => {
-                let mut bytes = node_bytes();
-                let mut ground = true;
-                let mut args = Vec::with_capacity(kids.len());
-                for k in kids.iter() {
-                    let n = self.node(*k);
-                    bytes += n.tree_bytes;
-                    ground &= n.ground;
-                    args.push(n.term.clone().expect("tuple node nested under struct"));
-                }
-                (bytes, ground, Some(Term::Struct(*s, args.into())))
+    }
+
+    /// The node for `shape`: found by one probe sequence, or created.
+    fn intern(&mut self, shape: Shape<'_>) -> TermId {
+        let hash = self.hash_shape(shape);
+        let mask = self.index.len().wrapping_sub(1);
+        let mut slot = hash as usize & mask;
+        while let Some(&id) = self.index.get(slot) {
+            if id == NONE {
+                break;
             }
-            NodeKind::Tuple(kids) => {
-                // The tuple wrapper itself is free: the seed accounting
-                // summed the member terms' heap bytes with no container cost.
-                let mut bytes = 0;
-                let mut ground = true;
-                for k in kids.iter() {
-                    let n = self.node(*k);
-                    bytes += n.tree_bytes;
-                    ground &= n.ground;
-                }
-                (bytes, ground, None)
+            let n = self.node(TermId(id));
+            if n.hash == hash && self.same(n, shape) {
+                return TermId(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.push_node(hash, shape);
+        if 2 * self.len() > self.index.len() {
+            self.grow_index();
+        } else {
+            self.index[slot] = id.0;
+        }
+        id
+    }
+
+    /// Appends the node for `shape`; its children are already interned.
+    fn push_node(&mut self, hash: u64, shape: Shape<'_>) -> TermId {
+        let sum_bytes = |a: &Arena, kids: &[TermId]| {
+            kids.iter()
+                .fold(0u32, |acc, &k| acc.saturating_add(a.node(k).tree_bytes))
+        };
+        let own = node_bytes() as u32;
+        let (data, name, tree_bytes, aux, tag) = match shape {
+            Shape::Var(k) => (0, k, own, 0, Tag::Var),
+            Shape::Atom(s) => (0, s.0, own, 0, Tag::Atom),
+            Shape::Int(i) => (i as u64, 0, own, 0, Tag::Int),
+            Shape::Struct(s, kids) => {
+                let bytes = own.saturating_add(sum_bytes(self, kids));
+                let aux = if kids.iter().all(|&k| self.node(k).is_ground()) {
+                    let args = kids.iter().map(|&k| self.instantiate_node(k, 0));
+                    self.ground_terms.push(Term::Struct(s, args.collect()));
+                    (self.ground_terms.len() - 1) as u32
+                } else {
+                    NONE
+                };
+                (self.store_kids(kids), s.0, bytes, aux, Tag::Struct)
+            }
+            // The tuple wrapper itself is free: the seed accounting summed
+            // the member terms' heap bytes with no container cost.
+            Shape::Tuple(kids, nvars) => {
+                let bytes = sum_bytes(self, kids);
+                (self.store_kids(kids), 0, bytes, nvars, Tag::Tuple)
             }
         };
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            kind,
+        let id = self.len();
+        assert!(id < NONE as usize, "term arena exhausted");
+        if id.is_multiple_of(NODE_CHUNK) {
+            self.nodes.push(Vec::with_capacity(NODE_CHUNK));
+        }
+        let chunk = self.nodes.last_mut().expect("chunk pushed above");
+        chunk.push(Node {
             hash,
+            data,
+            name,
             tree_bytes,
-            ground,
-            term,
+            aux,
+            tag,
         });
-        self.buckets.entry(hash).or_default().push(id);
-        TermId(id)
+        TermId(id as u32)
+    }
+
+    /// Doubles the hash-cons index and re-places every node.
+    fn grow_index(&mut self) {
+        let cap = (2 * self.index.len()).max(64);
+        let mut index = vec![NONE; cap];
+        let mask = cap - 1;
+        let mut id = 0u32;
+        for chunk in &self.nodes {
+            for n in chunk {
+                let mut slot = n.hash as usize & mask;
+                while index[slot] != NONE {
+                    slot = (slot + 1) & mask;
+                }
+                index[slot] = id;
+                id += 1;
+            }
+        }
+        self.index = index;
     }
 
     /// Interns the canonical form of `t` as seen through `b`, numbering free
-    /// variables in first-occurrence order via `map`. No intermediate `Term`
-    /// is allocated: the walk resolves bindings and interns bottom-up.
-    fn canon(&mut self, b: &Bindings, t: &Term, map: &mut HashMap<Var, u32>) -> TermId {
-        let w = b.walk(t);
-        match w {
+    /// variables in first-occurrence order. No intermediate `Term` is
+    /// allocated: the walk resolves bindings and interns bottom-up.
+    fn canon(&mut self, b: &Bindings, t: &Term, s: &mut Scratch) -> TermId {
+        match b.walk(t) {
             Term::Var(v) => {
-                let next = map.len() as u32;
-                let n = *map.entry(*v).or_insert(next);
-                self.intern(NodeKind::Var(n))
+                let i = v.index();
+                if i >= s.var_index.len() {
+                    s.var_index.resize(i + 1, NONE);
+                }
+                if s.var_index[i] == NONE {
+                    s.var_index[i] = s.touched.len() as u32;
+                    s.touched.push(v.0);
+                }
+                self.intern(Shape::Var(s.var_index[i]))
             }
-            Term::Atom(s) => self.intern(NodeKind::Atom(*s)),
-            Term::Int(i) => self.intern(NodeKind::Int(*i)),
-            Term::Struct(s, args) => {
-                let kids: Vec<TermId> = args.iter().map(|x| self.canon(b, x, map)).collect();
-                self.intern(NodeKind::Struct(*s, kids.into()))
+            Term::Atom(a) => self.intern(Shape::Atom(*a)),
+            Term::Int(i) => self.intern(Shape::Int(*i)),
+            Term::Struct(f, args) => {
+                let mark = s.stack.len();
+                for a in args.iter() {
+                    let k = self.canon(b, a, s);
+                    s.stack.push(k);
+                }
+                let id = self.intern(Shape::Struct(*f, &s.stack[mark..]));
+                s.stack.truncate(mark);
+                id
             }
         }
     }
 
     /// Materializes `id` with canonical variables shifted by `base`,
-    /// reusing cached ground subterms wholesale.
+    /// reusing cached ground compounds wholesale.
     fn instantiate_node(&self, id: TermId, base: u32) -> Term {
         let n = self.node(id);
-        if n.ground {
-            return n.term.clone().expect("ground non-tuple node has a term");
-        }
-        match &n.kind {
-            NodeKind::Var(k) => Term::Var(Var(base + *k)),
-            NodeKind::Struct(s, kids) => {
-                let args: Vec<Term> = kids
+        match n.tag {
+            Tag::Var => Term::Var(Var(base + n.name)),
+            Tag::Atom => Term::Atom(Sym(n.name)),
+            Tag::Int => Term::Int(n.data as i64),
+            Tag::Struct if n.aux != NONE => self.ground_terms[n.aux as usize].clone(),
+            Tag::Struct => Term::Struct(
+                Sym(n.name),
+                self.kids(n)
                     .iter()
                     .map(|&k| self.instantiate_node(k, base))
-                    .collect();
-                Term::Struct(*s, args.into())
-            }
-            // Atom/Int are ground (handled above); tuples never nest.
-            _ => unreachable!("non-ground leaf in arena"),
+                    .collect(),
+            ),
+            Tag::Tuple => unreachable!("tuples never nest"),
         }
     }
 
     fn tuple_children(&self, root: TermId) -> &[TermId] {
-        match &self.node(root).kind {
-            NodeKind::Tuple(kids) => kids,
-            _ => unreachable!("canonical root is always a tuple node"),
-        }
+        let n = self.node(root);
+        assert!(n.tag == Tag::Tuple, "canonical root is always a tuple node");
+        self.kids(n)
     }
 
     fn tuple_terms(&self, root: TermId) -> Vec<Term> {
         self.tuple_children(root)
             .iter()
-            .map(|&k| {
-                self.node(k)
-                    .term
-                    .clone()
-                    .expect("tuple members are non-tuple nodes")
-            })
+            .map(|&k| self.instantiate_node(k, 0))
             .collect()
     }
 
@@ -286,66 +457,56 @@ impl Arena {
             return 0;
         }
         let n = self.node(id);
-        match &n.kind {
-            NodeKind::Tuple(kids) => {
-                let mut sum = 0;
-                for &k in kids.iter() {
-                    sum += self.charge(k, seen);
-                }
-                sum
-            }
-            NodeKind::Struct(_, kids) => {
-                let mut sum = node_bytes();
-                for &k in kids.iter() {
-                    sum += self.charge(k, seen);
-                }
-                sum
+        match n.tag {
+            Tag::Tuple => self.kids(n).iter().map(|&k| self.charge(k, seen)).sum(),
+            Tag::Struct => {
+                node_bytes()
+                    + self
+                        .kids(n)
+                        .iter()
+                        .map(|&k| self.charge(k, seen))
+                        .sum::<usize>()
             }
             _ => node_bytes(),
         }
     }
 
     fn stats(&self) -> ArenaStats {
+        let terms = self
+            .nodes
+            .iter()
+            .flatten()
+            .filter(|n| n.tag != Tag::Tuple)
+            .count();
         ArenaStats {
-            nodes: self.nodes.len(),
-            interned_bytes: self
-                .nodes
-                .iter()
-                .map(|n| match n.kind {
-                    NodeKind::Tuple(_) => 0,
-                    _ => node_bytes(),
-                })
-                .sum(),
+            nodes: self.len(),
+            interned_bytes: terms * node_bytes(),
         }
     }
 
-    fn canonicalize(&mut self, arena_id: u32, b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-        let mut map: HashMap<Var, u32> = HashMap::new();
-        let ids: Vec<TermId> = ts.iter().map(|t| self.canon(b, t, &mut map)).collect();
-        self.finish(arena_id, ids, map.len() as u32)
-    }
-
-    fn canonicalize2(
+    /// Canonicalizes the concatenation `xs ++ ys` into a tuple node.
+    fn canonicalize(
         &mut self,
         arena_id: u32,
         b: &Bindings,
         xs: &[Term],
         ys: &[Term],
     ) -> CanonicalTerm {
-        let mut map: HashMap<Var, u32> = HashMap::new();
-        let ids: Vec<TermId> = xs
-            .iter()
-            .chain(ys.iter())
-            .map(|t| self.canon(b, t, &mut map))
-            .collect();
-        self.finish(arena_id, ids, map.len() as u32)
-    }
-
-    /// Interns a tuple of already-canonicalized member ids, returns the root.
-    fn finish(&mut self, arena_id: u32, ids: Vec<TermId>, nvars: u32) -> CanonicalTerm {
-        let root = self.intern(NodeKind::Tuple(ids.into()));
-        let hash = self.node(root).hash;
-        CanonicalTerm::from_parts(root, nvars, hash, arena_id)
+        let mut s = std::mem::take(&mut self.scratch);
+        for t in xs.iter().chain(ys) {
+            let k = self.canon(b, t, &mut s);
+            s.stack.push(k);
+        }
+        let nvars = s.touched.len() as u32;
+        let root = self.intern(Shape::Tuple(&s.stack, nvars));
+        debug_assert_eq!(self.node(root).aux, nvars, "tuple variable count");
+        s.stack.clear();
+        for &v in &s.touched {
+            s.var_index[v as usize] = NONE;
+        }
+        s.touched.clear();
+        self.scratch = s;
+        CanonicalTerm::from_parts(root, nvars, self.node(root).hash, arena_id)
     }
 }
 
@@ -410,13 +571,13 @@ impl TermArena {
     /// Canonicalizes a tuple of terms after resolving them through `b`;
     /// see [`crate::canonicalize`].
     pub fn canonicalize(&mut self, b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize(self.id, b, ts)
+        self.inner.canonicalize(self.id, b, ts, &[])
     }
 
     /// Canonicalizes the concatenation of two tuples without allocating the
     /// concatenated slice; see [`crate::canonicalize2`].
     pub fn canonicalize2(&mut self, b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize2(self.id, b, xs, ys)
+        self.inner.canonicalize(self.id, b, xs, ys)
     }
 
     /// Canonicalizes a single already-resolved term.
@@ -425,13 +586,30 @@ impl TermArena {
         self.canonicalize(&empty, std::slice::from_ref(t))
     }
 
+    /// The canonical tuple rooted at `root`, as a handle — the inverse of
+    /// [`CanonicalTerm::root_id`], so callers can keep a bare [`TermId`]
+    /// and still instantiate it later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not the root of a canonical tuple.
+    pub fn handle(&self, root: TermId) -> CanonicalTerm {
+        let n = self.inner.node(root);
+        assert!(
+            n.tag == Tag::Tuple,
+            "{root:?} is not a canonical tuple root"
+        );
+        CanonicalTerm::from_parts(root, n.aux, n.hash, self.id)
+    }
+
     /// Number of member terms in `c`'s canonical tuple.
     pub fn tuple_len(&self, c: &CanonicalTerm) -> usize {
         self.check(c);
         self.inner.tuple_children(c.root_id()).len()
     }
 
-    /// The canonicalized terms of `c`, materialized from cached subterms.
+    /// The canonicalized terms of `c`, materialized from the arena; ground
+    /// compounds come from its cache.
     pub fn terms(&self, c: &CanonicalTerm) -> Vec<Term> {
         self.check(c);
         self.inner.tuple_terms(c.root_id())
@@ -460,7 +638,7 @@ impl TermArena {
     /// matching [`Term::heap_bytes`].
     pub fn heap_bytes(&self, c: &CanonicalTerm) -> usize {
         self.check(c);
-        self.inner.node(c.root_id()).tree_bytes
+        self.inner.node(c.root_id()).tree_bytes as usize
     }
 
     /// Charges the bytes of every node reachable from `c` that is not
@@ -488,11 +666,11 @@ impl TermArena {
 // intern, and repeated analyses no longer accumulate state here.
 
 pub(crate) fn canonicalize_in(b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, ts))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, ts, &[]))
 }
 
 pub(crate) fn canonicalize2_in(b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize2(GLOBAL_ARENA_ID, b, xs, ys))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, xs, ys))
 }
 
 #[inline]
@@ -522,7 +700,7 @@ pub(crate) fn tuple_instantiate(c: &CanonicalTerm, b: &mut Bindings) -> Vec<Term
 
 pub(crate) fn tree_bytes(c: &CanonicalTerm) -> usize {
     check_global(c);
-    with_global(|a| a.node(c.root_id()).tree_bytes)
+    with_global(|a| a.node(c.root_id()).tree_bytes as usize)
 }
 
 /// Charges the bytes of every node reachable from `c` that is not already in
@@ -540,6 +718,15 @@ pub fn arena_stats() -> ArenaStats {
     with_global(|a| a.stats())
 }
 
+/// Serializes the lib tests that use the process-wide shared arena: some
+/// of them compare its [`arena_stats`] before and after, which sibling
+/// tests interning on other threads would otherwise disturb.
+#[cfg(test)]
+pub(crate) fn shared_arena_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +735,7 @@ mod tests {
 
     #[test]
     fn interning_is_idempotent() {
+        let _shared = shared_arena_test_lock();
         let t = structure("f", vec![atom("a"), int(3)]);
         let c1 = canonical_key(&t);
         let c2 = canonical_key(&t);
@@ -556,6 +744,7 @@ mod tests {
 
     #[test]
     fn distinct_terms_get_distinct_ids() {
+        let _shared = shared_arena_test_lock();
         let c1 = canonical_key(&structure("f", vec![atom("a")]));
         let c2 = canonical_key(&structure("f", vec![atom("b")]));
         assert_ne!(c1.root_id(), c2.root_id());
@@ -563,6 +752,7 @@ mod tests {
 
     #[test]
     fn variants_share_an_id() {
+        let _shared = shared_arena_test_lock();
         let b = Bindings::new();
         let c1 = canonicalize(&b, &[structure("f", vec![var(Var(7)), var(Var(7))])]);
         let c2 = canonicalize(&b, &[structure("f", vec![var(Var(2)), var(Var(2))])]);
@@ -573,6 +763,7 @@ mod tests {
 
     #[test]
     fn shared_structure_is_charged_once() {
+        let _shared = shared_arena_test_lock();
         let sub = structure("g", vec![atom("a"), atom("b")]);
         let t = structure("f", vec![sub.clone(), sub.clone()]);
         let c = canonical_key(&t);
@@ -589,6 +780,7 @@ mod tests {
 
     #[test]
     fn charge_matches_heap_bytes_without_sharing() {
+        let _shared = shared_arena_test_lock();
         let t = structure("f", vec![atom("a"), structure("h", vec![int(1)])]);
         let c = canonical_key(&t);
         let mut seen = HashSet::new();
@@ -597,6 +789,7 @@ mod tests {
 
     #[test]
     fn arena_stats_grow_monotonically() {
+        let _shared = shared_arena_test_lock();
         let before = arena_stats();
         // A fresh, never-before-interned atom must add at least one node.
         let _ = canonical_key(&structure(
@@ -629,6 +822,7 @@ mod tests {
 
     #[test]
     fn session_arenas_are_independent_and_do_not_touch_the_shared_arena() {
+        let _shared = shared_arena_test_lock();
         let global_before = arena_stats();
         let mut a1 = TermArena::new();
         let mut a2 = TermArena::new();
@@ -645,6 +839,7 @@ mod tests {
 
     #[test]
     fn dropping_a_session_arena_releases_its_forest() {
+        let _shared = shared_arena_test_lock();
         let global_before = arena_stats();
         for _ in 0..8 {
             let mut a = TermArena::new();

@@ -35,6 +35,13 @@ impl Bindings {
         self.cells.is_empty()
     }
 
+    /// Forgets every variable and binding but keeps the allocated capacity,
+    /// so a reused store costs no allocation until it outgrows it.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+        self.trail.clear();
+    }
+
     /// Allocates a fresh, unbound variable.
     pub fn fresh_var(&mut self) -> Var {
         let v = Var(self.cells.len() as u32);
@@ -105,8 +112,7 @@ impl Bindings {
         let w = self.walk(t);
         match w {
             Term::Struct(s, args) => {
-                let new: Vec<Term> = args.iter().map(|a| self.resolve(a)).collect();
-                Term::Struct(*s, new.into())
+                Term::Struct(*s, args.iter().map(|a| self.resolve(a)).collect())
             }
             other => other.clone(),
         }
@@ -215,6 +221,18 @@ mod tests {
             b.resolve(&t),
             structure("f", vec![structure("g", vec![atom("a")])])
         );
+    }
+
+    #[test]
+    fn clear_empties_the_store() {
+        let mut b = Bindings::new();
+        let v = b.fresh_var();
+        b.bind(v, atom("a"));
+        b.clear();
+        assert!(b.is_empty());
+        assert_eq!(b.mark(), TrailMark(0));
+        assert_eq!(b.fresh_var(), Var(0));
+        assert!(b.lookup(Var(0)).is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod variant;
 
 pub use arena::{arena_stats, charge_shared_bytes, ArenaStats, TermArena, TermId};
 pub use bindings::{Bindings, TrailMark};
-pub use symbol::{intern, sym_name, Sym};
+pub use symbol::{intern, sym_name, sym_str, Sym};
 pub use term::{atom, int, structure, var, Functor, Term, Var};
 pub use unify::{unify, unify_occurs};
 pub use variant::{canonical_key, canonicalize, canonicalize2, is_variant, CanonicalTerm};

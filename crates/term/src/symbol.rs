@@ -32,14 +32,16 @@ impl fmt::Debug for Sym {
 
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&sym_name(*self))
+        f.write_str(sym_str(*self))
     }
 }
 
+/// Names are leaked into `&'static str`s: a symbol is never freed, so its
+/// text can be lent out without a copy (see [`sym_str`]).
 #[derive(Default)]
 struct Interner {
-    names: Vec<String>,
-    map: HashMap<String, u32>,
+    names: Vec<&'static str>,
+    map: HashMap<&'static str, u32>,
 }
 
 fn table() -> &'static RwLock<Interner> {
@@ -68,8 +70,9 @@ pub fn intern(name: &str) -> Sym {
         return Sym(i);
     }
     let i = t.names.len() as u32;
-    t.names.push(name.to_owned());
-    t.map.insert(name.to_owned(), i);
+    let name: &'static str = Box::leak(name.into());
+    t.names.push(name);
+    t.map.insert(name, i);
     Sym(i)
 }
 
@@ -80,7 +83,18 @@ pub fn intern(name: &str) -> Sym {
 /// assert_eq!(sym_name(intern("foo")), "foo");
 /// ```
 pub fn sym_name(sym: Sym) -> String {
-    table().read().expect("symbol table poisoned").names[sym.0 as usize].clone()
+    sym_str(sym).to_owned()
+}
+
+/// Returns the text of an interned symbol without copying it: interned
+/// names live for the rest of the process.
+///
+/// ```
+/// use tablog_term::{intern, sym_str};
+/// assert_eq!(sym_str(intern("foo")), "foo");
+/// ```
+pub fn sym_str(sym: Sym) -> &'static str {
+    table().read().expect("symbol table poisoned").names[sym.0 as usize]
 }
 
 #[cfg(test)]

@@ -154,10 +154,7 @@ impl Term {
         match self {
             Term::Var(v) => f(*v),
             Term::Atom(_) | Term::Int(_) => self.clone(),
-            Term::Struct(s, args) => {
-                let new: Vec<Term> = args.iter().map(|a| a.map_vars(f)).collect();
-                Term::Struct(*s, new.into())
-            }
+            Term::Struct(s, args) => Term::Struct(*s, args.iter().map(|a| a.map_vars(f)).collect()),
         }
     }
 }

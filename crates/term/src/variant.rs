@@ -103,8 +103,8 @@ impl CanonicalTerm {
         self.len() == 0
     }
 
-    /// The canonicalized terms, materialized from the arena's cached
-    /// subterms (a handful of `Arc` clones, not a rebuild).
+    /// The canonicalized terms, materialized from the arena (ground
+    /// compounds are `Arc` clones of its cache).
     ///
     /// Shared-arena handles only; session handles go through
     /// [`crate::TermArena::terms`].
@@ -192,6 +192,7 @@ mod tests {
 
     #[test]
     fn canonical_renumbers_first_occurrence() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let t = structure("f", vec![var(Var(7)), var(Var(2)), var(Var(7))]);
         let c = canonical_key(&t);
         assert_eq!(
@@ -203,6 +204,7 @@ mod tests {
 
     #[test]
     fn canonicalize_resolves_bindings_first() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let mut b = Bindings::new();
         let x = b.fresh_var();
         let y = b.fresh_var();
@@ -214,6 +216,7 @@ mod tests {
 
     #[test]
     fn variant_is_reflexive_and_respects_sharing() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let t = structure("f", vec![var(Var(5)), var(Var(5))]);
         assert!(is_variant(&t, &t));
         let u = structure("f", vec![var(Var(1)), var(Var(2))]);
@@ -222,6 +225,7 @@ mod tests {
 
     #[test]
     fn tuple_canonicalization_shares_numbering() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let b = Bindings::new();
         let c = canonicalize(
             &b,
@@ -233,6 +237,7 @@ mod tests {
 
     #[test]
     fn canonicalize2_matches_concatenation() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let b = Bindings::new();
         let xs = [var(Var(3)), atom("a")];
         let ys = [structure("g", vec![var(Var(3))])];
@@ -243,6 +248,7 @@ mod tests {
 
     #[test]
     fn instantiate_renames_apart() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let t = structure("f", vec![var(Var(0)), var(Var(1))]);
         let c = canonical_key(&t);
         let mut b = Bindings::new();
@@ -255,6 +261,7 @@ mod tests {
 
     #[test]
     fn instantiate_shares_ground_subterms() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let t = structure("f", vec![structure("g", vec![atom("a")]), var(Var(0))]);
         let c = canonical_key(&t);
         let mut b = Bindings::new();
@@ -278,6 +285,7 @@ mod tests {
 
     #[test]
     fn ground_terms_canonicalize_to_themselves() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let t = structure("f", vec![atom("a"), atom("b")]);
         let c = canonical_key(&t);
         assert_eq!(c.term(), t);
@@ -286,6 +294,7 @@ mod tests {
 
     #[test]
     fn heap_bytes_match_unshared_term_estimate() {
+        let _shared = crate::arena::shared_arena_test_lock();
         let t = structure("f", vec![atom("a"), structure("g", vec![var(Var(1))])]);
         let c = canonical_key(&t);
         assert_eq!(c.heap_bytes(), t.heap_bytes());
@@ -293,6 +302,7 @@ mod tests {
 
     #[test]
     fn canonical_forms_work_as_hash_keys() {
+        let _shared = crate::arena::shared_arena_test_lock();
         use std::collections::HashSet;
         let mut set = HashSet::new();
         set.insert(canonical_key(&structure("f", vec![var(Var(3))])));
@@ -302,6 +312,7 @@ mod tests {
 
     #[test]
     fn copy_handles_compare_in_constant_size() {
+        let _shared = crate::arena::shared_arena_test_lock();
         // The handle itself is small regardless of term size.
         assert!(std::mem::size_of::<CanonicalTerm>() <= 24);
         let c = canonical_key(&structure("f", vec![atom("a")]));

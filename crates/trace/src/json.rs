@@ -167,11 +167,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a character boundary, and
+                // each byte is validated once: the parse stays linear in
+                // the input.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -257,6 +261,16 @@ mod tests {
         let doc = format!("{{\"s\":\"{}\"}}", escape(original));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn multibyte_text_round_trips_through_parse() {
+        let original = "λ-calc \"é\"\n日本 🦀";
+        let doc = format!("[\"{}\", \"ü\"]", escape(original));
+        let v = parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(original));
+        assert_eq!(items[1].as_str(), Some("ü"));
     }
 
     #[test]
