@@ -16,10 +16,12 @@
 //! static ALLOC: tablog_alloc::TrackingAlloc = tablog_alloc::TrackingAlloc;
 //! ```
 //!
-//! Two binaries do: the `e2e` benchmark (`crates/bench/src/bin/e2e`), for
-//! its `peak_heap_mb` metric and per-layer heap, and the root package's
-//! `tests/forest_footprint.rs`, which bounds the engine's peak heap on two
-//! suite rows. Code that *measures* uses [`HeapScope`]:
+//! Three binaries do: the `e2e` benchmark (`crates/bench/src/bin/e2e`), for
+//! its `peak_heap_mb` metric and per-layer heap, the root package's
+//! `tests/forest_footprint.rs`, which bounds the engine's peak heap and
+//! allocation count on two suite rows, and this crate's own
+//! `tests/counters.rs`, a harness-less binary so that no test-runner
+//! thread allocates while it checks the counters. Code that *measures* uses [`HeapScope`]:
 //! `begin` resets the peak to the current live level, `measure` reports the
 //! delta. When the tracking allocator is not installed every counter stays
 //! zero, [`is_tracking`] reports `false`, and `measure` returns `None` — so
@@ -182,65 +184,5 @@ impl HeapScope {
             allocations: now.allocations - self.start.allocations,
             peak_bytes: now.peak_bytes,
         })
-    }
-}
-
-// Install the allocator for this crate's own test binary, giving the
-// counters real traffic to observe without imposing tracking on any other
-// crate's tests.
-#[cfg(test)]
-#[global_allocator]
-static TEST_ALLOC: TrackingAlloc = TrackingAlloc;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tracking_is_detected_and_counters_move() {
-        // The test harness itself has long since allocated.
-        assert!(is_tracking());
-        let before = stats();
-        let v: Vec<u8> = Vec::with_capacity(1 << 16);
-        let after = stats();
-        drop(v);
-        assert!(after.total_allocated >= before.total_allocated + (1 << 16) as u64);
-        assert!(after.allocations > before.allocations);
-        assert!(after.live_bytes >= before.live_bytes + (1 << 16));
-    }
-
-    #[test]
-    fn scope_measures_a_phase_and_its_peak() {
-        let scope = HeapScope::begin();
-        let v: Vec<u8> = vec![0; 1 << 20];
-        drop(v);
-        let delta = scope.measure().expect("tracking allocator installed");
-        assert!(delta.allocated_bytes >= (1 << 20) as u64);
-        assert!(delta.allocations >= 1);
-        // The megabyte was live at some point inside the window, so the
-        // peak must have reached at least that far above the start.
-        assert!(delta.peak_bytes >= (1 << 20));
-    }
-
-    #[test]
-    fn reset_peak_starts_a_fresh_window() {
-        let v: Vec<u8> = vec![0; 1 << 18];
-        drop(v);
-        reset_peak();
-        // After the reset the peak equals live (no traffic in between
-        // beyond what the assertion machinery itself allocates).
-        let s = stats();
-        assert!(s.peak_bytes <= s.live_bytes + (1 << 16));
-    }
-
-    #[test]
-    fn live_bytes_fall_when_memory_is_freed() {
-        let scope_live = stats().live_bytes;
-        let v: Vec<u8> = vec![0; 1 << 20];
-        let held = stats().live_bytes;
-        drop(v);
-        let released = stats().live_bytes;
-        assert!(held >= scope_live + (1 << 20));
-        assert!(released < held);
     }
 }

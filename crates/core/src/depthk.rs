@@ -52,6 +52,9 @@ pub struct DepthKReport {
     pub timings: PhaseTimings,
     /// Engine statistics, including table space.
     pub stats: TableStats,
+    /// Counters of the evaluation's session arena: every call, answer and
+    /// derivation node interned during the run.
+    pub arena: tablog_term::ArenaStats,
     /// Per-predicate engine metrics; present iff the analyzer's
     /// [`profile`](DepthKAnalyzer::profile) flag was set. Includes the
     /// `calls_abstracted` / `answers_widened` counts from the depth-k
@@ -199,8 +202,12 @@ impl DepthKAnalyzer {
     fn hooked_options(&self) -> EngineOptions {
         let mut opts = self.options.clone();
         let k = self.k;
+        // Subterms below the cut become γ if ground, a fresh variable
+        // otherwise; the truncation works on ids inside the calling
+        // engine's session arena.
+        let gamma = intern(GAMMA);
         let trunc: tablog_engine::TermHook =
-            Arc::new(move |a: &mut TermArena, c: &CanonicalTerm| truncate_tuple(a, c, k));
+            Arc::new(move |a: &mut TermArena, c: &CanonicalTerm| a.truncate(c, k, gamma));
         opts.call_abstraction = Some(trunc.clone());
         opts.answer_widening = Some(trunc);
         opts
@@ -318,6 +325,7 @@ impl DepthKAnalyzer {
             preds: out,
             timings,
             stats: eval.stats(),
+            arena: eval.arena().stats(),
             metrics,
         })
     }
@@ -335,34 +343,6 @@ fn build(f: Functor, args: Vec<Term>) -> Term {
         Term::Atom(f.name)
     } else {
         Term::Struct(f.name, args.into())
-    }
-}
-
-/// Truncates every term of a canonical tuple at depth `k`: subterms below
-/// the cut become γ if ground, a fresh variable otherwise. Works entirely
-/// inside the calling engine's session arena.
-fn truncate_tuple(arena: &mut TermArena, c: &CanonicalTerm, k: usize) -> CanonicalTerm {
-    let mut b = Bindings::new();
-    let terms = arena.instantiate(c, &mut b);
-    let truncated: Vec<Term> = terms.iter().map(|t| truncate(t, k, &mut b)).collect();
-    arena.canonicalize(&b, &truncated)
-}
-
-fn truncate(t: &Term, k: usize, b: &mut Bindings) -> Term {
-    match t {
-        Term::Struct(s, args) => {
-            if k == 0 {
-                if t.is_ground() {
-                    atom(GAMMA)
-                } else {
-                    Term::Var(b.fresh_var())
-                }
-            } else {
-                let new: Vec<Term> = args.iter().map(|a| truncate(a, k - 1, b)).collect();
-                Term::Struct(*s, new.into())
-            }
-        }
-        other => other.clone(),
     }
 }
 

@@ -98,6 +98,9 @@ pub struct StrictnessReport {
     pub timings: PhaseTimings,
     /// Engine statistics, including table space.
     pub stats: TableStats,
+    /// Counters of the evaluation's session arena: every call, answer and
+    /// derivation node interned during the run.
+    pub arena: tablog_term::ArenaStats,
     /// Per-predicate engine metrics; present iff the analyzer's
     /// [`profile`](StrictnessAnalyzer::profile) flag was set. Predicate
     /// keys are the demand program's (`sp$f/(n+1)`, `pm$c/…`, `$sa/0`).
@@ -317,6 +320,7 @@ impl StrictnessAnalyzer {
             funs,
             timings,
             stats: eval.stats(),
+            arena: eval.arena().stats(),
             metrics,
         })
     }

@@ -14,7 +14,10 @@
 
 use crate::error::EngineError;
 use std::cmp::Ordering;
-use tablog_term::{atom, int, intern, structure, sym_name, sym_str, var, Bindings, Functor, Term};
+use tablog_term::{
+    atom, int, intern, structure, sym_name, sym_str, var, Bindings, Env, Functor, Head, Sym, Term,
+    TermArena, Val, Walked,
+};
 
 /// A deterministic builtin: binds into `b`, returns whether it succeeded.
 pub type DetFn = fn(&mut Bindings, &[Term]) -> Result<bool, EngineError>;
@@ -278,12 +281,74 @@ pub fn abs_unify(b: &mut Bindings, t1: &Term, t2: &Term) -> bool {
 pub fn abs_ground(b: &mut Bindings, t: &Term) {
     match b.walk(t).clone() {
         Term::Var(v) => b.bind(v, atom(GAMMA)),
-        Term::Struct(_, args) => {
+        Term::Struct(_, ref args) => {
             for a in args.iter() {
                 abs_ground(b, a);
             }
         }
         _ => {}
+    }
+}
+
+/// [`abs_unify`] on environment values, with `gamma` the interned γ atom:
+/// the machine's `$absunify/2`, reading the node and its bindings in place.
+pub(crate) fn abs_unify_env(
+    env: &mut Env,
+    arena: &TermArena,
+    a: &Val,
+    b: &Val,
+    gamma: Sym,
+) -> bool {
+    match (env.walk(arena, a), env.walk(arena, b)) {
+        (Walked::Var(x), Walked::Var(y)) => {
+            if x != y {
+                env.bind(x, Val::cell(y));
+            }
+            true
+        }
+        (Walked::Var(x), Walked::Val(v)) | (Walked::Val(v), Walked::Var(x)) => {
+            if env.occurs(arena, x, &v) {
+                return false;
+            }
+            env.bind(x, v);
+            true
+        }
+        (Walked::Val(p), Walked::Val(q)) => {
+            let (hp, hq) = (Env::head(arena, &p), Env::head(arena, &q));
+            if hp == Head::Atom(gamma) {
+                abs_ground_env(env, arena, &q, gamma);
+                return true;
+            }
+            if hq == Head::Atom(gamma) {
+                abs_ground_env(env, arena, &p, gamma);
+                return true;
+            }
+            if hp != hq {
+                return false;
+            }
+            let Head::Struct(_, n) = hp else {
+                return true;
+            };
+            (0..n).all(|i| {
+                let (x, y) = (Env::arg(arena, &p, i), Env::arg(arena, &q, i));
+                abs_unify_env(env, arena, &x, &y, gamma)
+            })
+        }
+    }
+}
+
+/// [`abs_ground`] on an environment value: the machine's `$absground/1`.
+pub(crate) fn abs_ground_env(env: &mut Env, arena: &TermArena, v: &Val, gamma: Sym) {
+    match env.walk(arena, v) {
+        Walked::Var(x) => env.bind(x, Val::Term(Term::Atom(gamma), 0)),
+        Walked::Val(Val::Id(id, _)) if arena.is_ground(id) => {}
+        Walked::Val(w) => {
+            if let Head::Struct(_, n) = Env::head(arena, &w) {
+                for i in 0..n {
+                    abs_ground_env(env, arena, &Env::arg(arena, &w, i), gamma);
+                }
+            }
+        }
     }
 }
 

@@ -1,13 +1,13 @@
 //! Answer flow: resuming consumers with table answers, inserting answers
 //! into tables (with widening and substitution-factored byte accounting),
-//! and negation-as-failure subcomputations. Split out of `machine.rs` in
-//! PR 4; the methods here extend [`Machine`].
+//! and negation-as-failure subcomputations. The methods here extend
+//! [`Machine`].
 
 use crate::error::EngineError;
 use crate::machine::{Machine, Task};
 use crate::provenance::{AnswerRef, NodeProv};
 use crate::table::NODE_OVERHEAD;
-use tablog_term::{Bindings, CanonicalTerm, Term};
+use tablog_term::{Bindings, CanonicalTerm, Term, TermId, Val};
 use tablog_trace::TraceEvent;
 
 impl Machine<'_> {
@@ -15,49 +15,69 @@ impl Machine<'_> {
         // A consumer is a few ids, so pulling its coordinates out is free —
         // no `Consumer` or answer clone on this path. Only the provenance
         // trail (off by default) is cloned.
-        let (subgoal, split, canon, watched) = {
+        let (subgoal, root, watched) = {
             let c = &self.consumers[cid];
-            let canon = self.arena.handle(c.node.root);
-            (
-                c.node.subgoal as usize,
-                self.split(&c.node),
-                canon,
-                c.watched as usize,
-            )
+            (c.node.subgoal as usize, c.node.root, c.watched as usize)
         };
-        let mut b = self.take_bindings();
-        let ts = self.arena.instantiate(&canon, &mut b);
-        let (template, goals) = ts.split_at(split);
-        let (g, rest) = goals
-            .split_first()
-            .expect("consumer node has a selected goal");
         let answer = self.subgoals[watched].answers[aidx];
-        let ans_args = self.arena.instantiate(&answer, &mut b);
-        let ok = g
-            .args()
-            .iter()
-            .zip(ans_args.iter())
-            .all(|(x, y)| self.unif(&mut b, x, y));
-        if ok {
-            if let Some(sink) = self.trace {
+        self.resume(subgoal, root, answer, |m| {
+            if let Some(sink) = m.trace {
                 sink.event(&TraceEvent::AnswerReturn {
-                    pred: self.subgoals[watched].functor,
+                    pred: m.subgoals[watched].functor,
                 });
             }
             // The continuation consumed answer `aidx` of the watched table:
             // extend the consumer's trail with that premise.
-            let mut prov = self.consumers[cid].node.prov.clone();
+            let mut prov = m.consumers[cid].node.prov.clone();
             if let Some(p) = prov.as_deref_mut() {
                 p.premises.push(AnswerRef {
                     subgoal: watched,
                     answer: aidx,
                 });
             }
-            let n = self.make_node(subgoal, &b, template, rest, prov);
-            self.push(Task::Expand(n));
-        }
-        self.give_bindings(b);
-        Ok(())
+            prov
+        })
+    }
+
+    /// Resumes node `root` of subgoal `sid`, suspended on its selected
+    /// goal, with the answer tuple `ans`: the goal's argument ids are
+    /// unified with the answer's member ids (the answer read in a frame
+    /// after the node's) and the continuation is scheduled. `on_match`
+    /// runs only when they unify and returns the continuation's trail.
+    /// Local answer returns and the parallel driver's remote deliveries
+    /// both resume through here.
+    pub(crate) fn resume(
+        &mut self,
+        sid: usize,
+        root: TermId,
+        ans: CanonicalTerm,
+        on_match: impl FnOnce(&Self) -> Option<Box<NodeProv>>,
+    ) -> Result<(), EngineError> {
+        let split = self.subgoals[sid].functor.arity;
+        let g = self.arena.members(root)[split];
+        let occurs = self.opts.occur_check;
+        let mut st = self.take_step();
+        st.env.frame(self.arena.handle(root).num_vars());
+        let base = st.env.frame(ans.num_vars());
+        let ok = self
+            .arena
+            .args(g)
+            .iter()
+            .zip(self.arena.members(ans.root_id()))
+            .all(|(&x, &y)| {
+                st.env
+                    .unify(&self.arena, &Val::Id(x, 0), &Val::Id(y, base), occurs)
+            });
+        let r = if ok {
+            let prov = on_match(self);
+            self.open(&mut st, root, split);
+            self.schedule(&mut st, sid, Some(root), prov)
+                .map_err(|_| self.cyclic(g))
+        } else {
+            Ok(())
+        };
+        self.give_step(st);
+        r
     }
 
     pub(crate) fn add_answer(
@@ -163,14 +183,13 @@ impl Machine<'_> {
     /// Negation as failure over a completed subcomputation: evaluates the
     /// goal in a fresh machine (tables are not shared, and the sub-machine
     /// gets its own session arena) and reports whether any answer exists.
-    pub(crate) fn provable(&mut self, goal: &Term, b: &Bindings) -> Result<bool, EngineError> {
-        let g = b.resolve(goal);
+    pub(crate) fn provable(&mut self, goal: Term) -> Result<bool, EngineError> {
         let mut sub = Machine::new(self.db, self.opts);
         // The deadline bounds the whole evaluation: the sub-machine inherits
         // the parent's absolute cutoff rather than restarting the clock.
         sub.deadline_ns = self.deadline_ns;
         let empty = Bindings::new();
-        let eval = sub.run(&[g], &[], &empty)?;
+        let eval = sub.run(&[goal], &[], &empty)?;
         // Fold the subcomputation's work into this evaluation's counters.
         // `table_bytes` stays out: the sub-machine's tables are discarded
         // here, so charging their space would overstate live table memory.

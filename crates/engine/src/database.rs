@@ -3,7 +3,7 @@
 use crate::error::EngineError;
 use std::collections::HashMap;
 use tablog_syntax::{Program, ReadClause};
-use tablog_term::{intern, sym_name, Functor, Sym, Term};
+use tablog_term::{intern, sym_name, Functor, Head, Sym, Term};
 
 /// How clauses are prepared for evaluation — the paper's central
 /// preprocessing trade-off (Section 4).
@@ -64,6 +64,14 @@ fn index_key(t: &Term) -> Option<IndexKey> {
         Term::Int(i) => Some(IndexKey::Int(*i)),
         Term::Struct(s, args) => Some(IndexKey::Struct(*s, args.len())),
         Term::Var(_) => None,
+    }
+}
+
+fn head_key(h: Head) -> IndexKey {
+    match h {
+        Head::Atom(s) => IndexKey::Atom(s),
+        Head::Int(i) => IndexKey::Int(i),
+        Head::Struct(s, n) => IndexKey::Struct(s, n),
     }
 }
 
@@ -264,13 +272,25 @@ impl Database {
     /// [`Database::build_indexes`]), so lookup is a hash probe plus a slice
     /// walk. This is the clause-resolution hot path.
     pub fn matching_clauses_iter(&self, f: Functor, first_arg: Option<&Term>) -> ClauseMatches<'_> {
+        self.matching(f, first_arg.and_then(index_key))
+    }
+
+    /// Like [`Database::matching_clauses_iter`], for a call known only by
+    /// its first argument's principal functor (`None` when that argument is
+    /// a variable or there is none) — how the engine, which never
+    /// materializes the call, selects clauses.
+    pub fn matching_clauses_by_head(&self, f: Functor, first: Option<Head>) -> ClauseMatches<'_> {
+        self.matching(f, first.map(head_key))
+    }
+
+    fn matching(&self, f: Functor, first: Option<IndexKey>) -> ClauseMatches<'_> {
         let Some(pred) = self.preds.get(&f) else {
             return ClauseMatches {
                 clauses: &[],
                 ids: IdSource::All(0..0),
             };
         };
-        let ids = match (&pred.index, first_arg.and_then(index_key)) {
+        let ids = match (&pred.index, first) {
             (Some((index, var_clauses)), Some(key)) => {
                 // A key with its own bucket sees the full merged list; a key
                 // never indexed matches exactly the variable-headed clauses.

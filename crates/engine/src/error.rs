@@ -26,6 +26,10 @@ pub enum EngineError {
     Truncated(TruncationReason),
     /// The source text could not be parsed.
     Parse(String),
+    /// Solving the named goal bound a variable to a term containing it
+    /// (unification without occur check), so the resolvent has no finite
+    /// form. Evaluation stops here instead of overflowing the stack.
+    CyclicTerm(String),
 }
 
 impl fmt::Display for EngineError {
@@ -37,6 +41,11 @@ impl fmt::Display for EngineError {
             EngineError::BadArgs(b, m) => write!(f, "{b}: bad arguments: {m}"),
             EngineError::Truncated(r) => write!(f, "evaluation truncated: {r}"),
             EngineError::Parse(m) => write!(f, "parse error: {m}"),
+            EngineError::CyclicTerm(g) => write!(
+                f,
+                "cyclic term: solving {g} bound a variable to a term containing it \
+                 (set occur_check to make such a unification fail)"
+            ),
         }
     }
 }

@@ -17,7 +17,11 @@
 //! engine small and obviously correct while preserving XSB's observable
 //! behaviour: call tables (used by the analyses for input patterns), answer
 //! tables with variant-based duplicate elimination (non-ground answers
-//! included), and left-to-right literal selection.
+//! included), and left-to-right literal selection. A step never rebuilds
+//! `Term`s: it unifies the node's interned ids with the stored clause (or
+//! the answer's ids) in place, through frames of variable cells, and
+//! interns the next resolvent in one walk ([`tablog_term::Env`],
+//! [`tablog_term::TermArena::resolve`]).
 //!
 //! Features used by the paper's experiments:
 //!

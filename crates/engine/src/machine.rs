@@ -35,7 +35,8 @@ use crate::session::Evaluation;
 use crate::table::{SubgoalState, TableStats};
 use std::collections::{HashMap, HashSet};
 use tablog_term::{
-    sym_str, unify, unify_occurs, Bindings, CanonicalTerm, Functor, Term, TermArena, TermId, Var,
+    intern, sym_str, Bindings, CanonicalTerm, Env, Functor, Head, Sym, Term, TermArena, TermId,
+    TermView, Val, Var,
 };
 use tablog_trace::{
     now_ns, CounterSample, HealthSnapshot, SpanEmitter, StallWatchdog, TraceEvent, TraceSink,
@@ -76,6 +77,28 @@ pub(crate) struct Consumer {
 pub(crate) enum Task {
     Expand(Node),
     Return(usize, usize),
+}
+
+/// Working state of one resolution step, pooled in the machine: the
+/// binding environment (the expanded node's frame at base 0, then one
+/// frame per clause or answer it is resolved with), the resolvent being
+/// assembled, and the binding store the builtin adapter lends to
+/// `Term`-level builtins.
+#[derive(Default)]
+pub(crate) struct Step {
+    pub(crate) env: Env,
+    pub(crate) goals: Vec<Val>,
+    pub(crate) b: Bindings,
+}
+
+/// Symbols the step path compares against or builds, interned once per
+/// machine.
+#[derive(Clone, Copy)]
+pub(crate) struct Syms {
+    pub(crate) not: Sym,
+    pub(crate) tru: Sym,
+    pub(crate) fls: Sym,
+    pub(crate) gamma: Sym,
 }
 
 const _: () = {
@@ -146,10 +169,11 @@ pub(crate) struct Machine<'e> {
     /// Timestamp of machine creation, taken only when budgets or health
     /// reporting need one (0 otherwise, never read in that case).
     start_ns: u64,
-    /// Cleared binding stores for reuse, so a resolution step allocates no
-    /// new store. A pool, not one store: generator spawn runs inside an
-    /// expansion that still holds its own.
-    bindings_pool: Vec<Bindings>,
+    /// Cleared step states for reuse, so a resolution step allocates no
+    /// new environment. A pool, not one state: generator spawn runs inside
+    /// an expansion that still holds its own.
+    steps: Vec<Step>,
+    pub(crate) syms: Syms,
 }
 
 /// Book-keeping for periodic [`HealthSnapshot`] emission: the cadence
@@ -203,19 +227,27 @@ impl<'e> Machine<'e> {
                 }
             }),
             start_ns,
-            bindings_pool: Vec::new(),
+            steps: Vec::new(),
+            syms: Syms {
+                not: intern("\\+"),
+                tru: intern("true"),
+                fls: intern("false"),
+                gamma: intern(crate::builtins::GAMMA),
+            },
         }
     }
 
-    /// An empty binding store, reused from the pool when one is free.
-    pub(crate) fn take_bindings(&mut self) -> Bindings {
-        self.bindings_pool.pop().unwrap_or_default()
+    /// An empty step state, reused from the pool when one is free.
+    pub(crate) fn take_step(&mut self) -> Step {
+        self.steps.pop().unwrap_or_default()
     }
 
-    /// Returns a store taken with [`Machine::take_bindings`] to the pool.
-    pub(crate) fn give_bindings(&mut self, mut b: Bindings) {
-        b.clear();
-        self.bindings_pool.push(b);
+    /// Returns a state taken with [`Machine::take_step`] to the pool.
+    pub(crate) fn give_step(&mut self, mut st: Step) {
+        st.env.clear();
+        st.goals.clear();
+        st.b.clear();
+        self.steps.push(st);
     }
 
     /// Number of leading member terms of `node`'s tuple that form the
@@ -360,14 +392,6 @@ impl<'e> Machine<'e> {
         }
     }
 
-    pub(crate) fn unif(&self, b: &mut Bindings, t1: &Term, t2: &Term) -> bool {
-        if self.opts.occur_check {
-            unify_occurs(b, t1, t2)
-        } else {
-            unify(b, t1, t2)
-        }
-    }
-
     pub(crate) fn push(&mut self, task: Task) {
         let class = match &task {
             Task::Expand(n) => {
@@ -485,8 +509,11 @@ impl<'e> Machine<'e> {
             });
         }
         self.subgoals.push(state);
-        let prov = self.fresh_prov();
-        let node = self.make_node(root, b0, template, goals, prov);
+        let node = Node {
+            subgoal: root as u32,
+            root: self.arena.canonicalize2(b0, template, goals).root_id(),
+            prov: self.fresh_prov(),
+        };
         self.push(Task::Expand(node));
         root
     }
@@ -615,166 +642,205 @@ impl<'e> Machine<'e> {
         self.opts.record_provenance.then(Box::<NodeProv>::default)
     }
 
-    /// Interns `template ++ goals` as a derivation node of `subgoal`.
-    pub(crate) fn make_node(
+    /// Starts a resolvent in `st.goals`: the first `n` members of the tuple
+    /// `root`, read through the frame at base 0.
+    pub(crate) fn open(&self, st: &mut Step, root: TermId, n: usize) {
+        st.goals.clear();
+        st.goals
+            .extend(self.arena.members(root)[..n].iter().map(|&k| Val::Id(k, 0)));
+    }
+
+    /// Completes the resolvent in `st.goals` with the goals of node `rest_of`
+    /// after its selected one, interns it as a node of `sid` in one walk
+    /// over ids and bindings, and schedules it.
+    pub(crate) fn schedule(
         &mut self,
-        subgoal: usize,
-        b: &Bindings,
-        template: &[Term],
-        goals: &[Term],
+        st: &mut Step,
+        sid: usize,
+        rest_of: Option<TermId>,
         prov: Option<Box<NodeProv>>,
-    ) -> Node {
-        debug_assert_eq!(
-            template.len(),
-            self.subgoals[subgoal].functor.arity,
-            "answer template and subgoal arity disagree"
+    ) -> Result<(), tablog_term::Cyclic> {
+        if let Some(root) = rest_of {
+            let split = self.subgoals[sid].functor.arity;
+            st.goals.extend(
+                self.arena.members(root)[split + 1..]
+                    .iter()
+                    .map(|&k| Val::Id(k, 0)),
+            );
+        }
+        let key = self.arena.resolve(&st.env, &st.goals)?;
+        debug_assert!(
+            self.arena.tuple_len(&key) >= self.subgoals[sid].functor.arity,
+            "resolvent shorter than its answer template"
         );
-        Node {
-            subgoal: subgoal as u32,
-            root: self.arena.canonicalize2(b, template, goals).root_id(),
+        self.push(Task::Expand(Node {
+            subgoal: sid as u32,
+            root: key.root_id(),
             prov,
+        }));
+        Ok(())
+    }
+
+    /// The error for a resolvent made cyclic while solving goal `g` of a
+    /// node.
+    pub(crate) fn cyclic(&self, g: TermId) -> EngineError {
+        EngineError::CyclicTerm(tablog_syntax::term_to_string(&self.arena.term_at(g, 0)))
+    }
+
+    /// The principal functor of the first of `args`, for clause indexing;
+    /// `None` for a variable or no argument.
+    pub(crate) fn first_head(&self, args: &[TermId]) -> Option<Head> {
+        match self.arena.view(*args.first()?) {
+            TermView::Var(_) => None,
+            TermView::Atom(s) => Some(Head::Atom(s)),
+            TermView::Int(i) => Some(Head::Int(i)),
+            TermView::Struct(s, kids) => Some(Head::Struct(s, kids.len())),
         }
     }
 
     pub(crate) fn expand(&mut self, node: Node) -> Result<(), EngineError> {
-        let mut b = self.take_bindings();
-        let ts = self
-            .arena
-            .instantiate(&self.arena.handle(node.root), &mut b);
-        let (template, goals) = ts.split_at(self.split(&node));
         let sid = node.subgoal as usize;
-        let r = match goals.split_first() {
-            None => {
-                let ans = self.arena.canonicalize(&b, template);
-                self.add_answer(sid, ans, node.prov);
-                Ok(())
-            }
-            Some((g, rest)) => self.solve_goal(sid, template, g, rest, &mut b, node.prov),
+        let split = self.split(&node);
+        let Some(&g) = self.arena.members(node.root).get(split) else {
+            // No goals left: the node's tuple is its answer template,
+            // already canonical.
+            let ans = self.arena.handle(node.root);
+            self.add_answer(sid, ans, node.prov);
+            return Ok(());
         };
-        self.give_bindings(b);
+        let mut st = self.take_step();
+        st.env.frame(self.arena.handle(node.root).num_vars());
+        let r = self.solve_goal(&mut st, sid, node.root, g, node.prov);
+        self.give_step(st);
         r
     }
 
+    /// Solves the selected goal `g` of node `root` (of subgoal `sid`),
+    /// whose frame is `st.env`'s base-0 frame, still unbound.
     fn solve_goal(
         &mut self,
+        st: &mut Step,
         sid: usize,
-        template: &[Term],
-        g: &Term,
-        rest: &[Term],
-        b: &mut Bindings,
+        root: TermId,
+        g: TermId,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
-        let g = b.resolve(g);
-        let f = match g.functor() {
-            Some(f) => f,
-            None => return Err(EngineError::BadGoal(format!("{g}"))),
-        };
-        let args = g.args();
-        match (sym_str(f.name), f.arity) {
-            (",", 2) => {
-                let mut goals = vec![args[0].clone(), args[1].clone()];
-                goals.extend_from_slice(rest);
-                let n = self.make_node(sid, b, template, &goals, prov);
-                self.push(Task::Expand(n));
-                Ok(())
+        let f = match self.arena.view(g) {
+            TermView::Atom(name) => Functor { name, arity: 0 },
+            TermView::Struct(name, args) => Functor {
+                name,
+                arity: args.len(),
+            },
+            _ => {
+                return Err(EngineError::BadGoal(format!(
+                    "{}",
+                    self.arena.term_at(g, 0)
+                )))
             }
+        };
+        let split = self.subgoals[sid].functor.arity;
+        let arg = |m: &Self, i: usize| m.arena.args(g)[i];
+        // Control constructs rewrite the goal list on ids alone.
+        let goals: [Option<TermId>; 2] = match (sym_str(f.name), f.arity) {
+            (",", 2) | ("->", 2) => [Some(arg(self, 0)), Some(arg(self, 1))],
             (";", 2) => {
                 // (C -> T ; E) gets soft if-then-else semantics:
-                // (C, T) or (\+ C, E).
-                let (left, right): (Vec<Term>, Vec<Term>) = if let Term::Struct(s, ite) = &args[0] {
-                    if sym_str(*s) == "->" && ite.len() == 2 {
-                        (
-                            vec![ite[0].clone(), ite[1].clone()],
-                            vec![
-                                Term::Struct(
-                                    tablog_term::intern("\\+"),
-                                    vec![ite[0].clone()].into(),
-                                ),
-                                args[1].clone(),
-                            ],
-                        )
-                    } else {
-                        (vec![args[0].clone()], vec![args[1].clone()])
+                // (C, T) or (\+ C, E). `\+ C` numbers its variables as the
+                // node does, which is how the resolvent numbers them too:
+                // both start with the template, then C.
+                let (l, r) = (arg(self, 0), arg(self, 1));
+                let branches = match self.arena.view(l) {
+                    TermView::Struct(s, &[c, t]) if sym_str(s) == "->" => {
+                        let not_c = self.arena.intern_struct(self.syms.not, &[c]);
+                        [[Some(c), Some(t)], [Some(not_c), Some(r)]]
                     }
-                } else {
-                    (vec![args[0].clone()], vec![args[1].clone()])
+                    _ => [[Some(l), None], [Some(r), None]],
                 };
-                for branch in [left, right] {
-                    let mut goals = branch;
-                    goals.extend_from_slice(rest);
-                    let n = self.make_node(sid, b, template, &goals, prov.clone());
-                    self.push(Task::Expand(n));
+                for branch in branches {
+                    self.open(st, root, split);
+                    st.goals
+                        .extend(branch.iter().flatten().map(|&k| Val::Id(k, 0)));
+                    self.schedule(st, sid, Some(root), prov.clone())
+                        .map_err(|_| self.cyclic(g))?;
                 }
-                Ok(())
-            }
-            ("->", 2) => {
-                let mut goals = vec![args[0].clone(), args[1].clone()];
-                goals.extend_from_slice(rest);
-                let n = self.make_node(sid, b, template, &goals, prov);
-                self.push(Task::Expand(n));
-                Ok(())
+                return Ok(());
             }
             ("\\+", 1) | ("not", 1) => {
-                let fails = !self.provable(&args[0], b)?;
+                let goal = self.materialize(&[arg(self, 0)]).remove(0);
+                let fails = !self.provable(goal)?;
                 // A truncated subcomputation cannot witness failure: its
                 // empty answer set proves nothing, so the continuation must
                 // not be scheduled on the strength of it.
-                if fails && self.truncated.is_none() {
-                    let n = self.make_node(sid, b, template, rest, prov);
-                    self.push(Task::Expand(n));
+                if !fails || self.truncated.is_some() {
+                    return Ok(());
                 }
-                Ok(())
+                [None, None]
             }
             // Cut is approximated by `true`: sound (a superset of solutions)
             // for the minimal-model analyses this engine serves; see README.
-            ("!", 0) | ("true", 0) => {
-                let n = self.make_node(sid, b, template, rest, prov);
-                self.push(Task::Expand(n));
-                Ok(())
-            }
-            ("call", 1) => {
-                let mut goals = vec![args[0].clone()];
-                goals.extend_from_slice(rest);
-                let n = self.make_node(sid, b, template, &goals, prov);
-                self.push(Task::Expand(n));
-                Ok(())
-            }
-            _ => {
-                if let Some(imp) = lookup_builtin(f) {
-                    return self.solve_builtin(imp, sid, template, &g, rest, b, prov);
-                }
-                if !self.db.is_defined(f) {
-                    return match self.opts.unknown {
-                        Unknown::Fail => Ok(()),
-                        Unknown::Error => Err(EngineError::UnknownPredicate(f)),
-                    };
-                }
-                if self.db.is_tabled(f) {
-                    self.solve_tabled(f, sid, template, &g, rest, b, prov)
-                } else {
-                    self.solve_sld(f, sid, template, &g, rest, b, prov)
-                }
-            }
+            ("!", 0) | ("true", 0) => [None, None],
+            ("call", 1) => [Some(arg(self, 0)), None],
+            _ => return self.solve_call(f, st, sid, root, g, prov),
+        };
+        self.open(st, root, split);
+        st.goals
+            .extend(goals.iter().flatten().map(|&k| Val::Id(k, 0)));
+        self.schedule(st, sid, Some(root), prov)
+            .map_err(|_| self.cyclic(g))
+    }
+
+    /// Solves a goal that is no control construct: a builtin, a tabled
+    /// call, or an SLD call.
+    fn solve_call(
+        &mut self,
+        f: Functor,
+        st: &mut Step,
+        sid: usize,
+        root: TermId,
+        g: TermId,
+        prov: Option<Box<NodeProv>>,
+    ) -> Result<(), EngineError> {
+        if lookup_builtin(f).is_some() {
+            return self.solve_builtin(f, st, sid, root, g, prov);
+        }
+        if !self.db.is_defined(f) {
+            return match self.opts.unknown {
+                Unknown::Fail => Ok(()),
+                Unknown::Error => Err(EngineError::UnknownPredicate(f)),
+            };
+        }
+        if self.db.is_tabled(f) {
+            self.solve_tabled(f, st, sid, root, g, prov)
+        } else {
+            self.solve_sld(f, st, sid, root, g, prov)
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The variant key of call `g`: its arguments, renumbered.
+    fn call_key(&mut self, st: &mut Step, g: TermId) -> CanonicalTerm {
+        st.goals.clear();
+        st.goals
+            .extend(self.arena.args(g).iter().map(|&k| Val::Id(k, 0)));
+        self.arena
+            .resolve(&st.env, &st.goals)
+            .expect("an unbound frame has no cycle")
+    }
+
     fn solve_tabled(
         &mut self,
         f: Functor,
+        st: &mut Step,
         sid: usize,
-        template: &[Term],
-        g: &Term,
-        rest: &[Term],
-        b: &mut Bindings,
+        root: TermId,
+        g: TermId,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
         let opts = self.opts;
         let mut key = if opts.forward_subsumption {
-            let open = self.open_call_key(f);
+            let open = self.open_call_key(st, f);
             if let Some(sink) = self.trace {
                 // Only report calls that subsumption actually generalized.
-                let specific = self.arena.canonicalize(b, g.args());
+                let specific = self.call_key(st, g);
                 if specific != open {
                     let call = self.arena.terms(&specific);
                     let subsumer = self.arena.terms(&open);
@@ -787,7 +853,7 @@ impl<'e> Machine<'e> {
             }
             open
         } else {
-            self.arena.canonicalize(b, g.args())
+            self.call_key(st, g)
         };
         if let Some(hook) = &opts.call_abstraction {
             let abstracted = hook(&mut self.arena, &key);
@@ -804,15 +870,21 @@ impl<'e> Machine<'e> {
             }
             key = abstracted;
         }
+        // The node itself, with the tabled goal still selected, becomes the
+        // consumer: nothing is bound yet, so it is its own resolvent. The
+        // trail parks on the consumer; each answer return extends a copy of
+        // it with the consumed answer.
+        let node = Node {
+            subgoal: sid as u32,
+            root,
+            prov,
+        };
         // Under the parallel driver, a call whose predicate SCC belongs to
         // another worker is not tabled here: the consumer node parks in
         // `remote_waits` and a call message carries the canonical pattern
         // to the owner, who back-fills existing answers and forwards every
         // later insert (each answer reaches the waiting node exactly once).
         if let Some(owner) = self.remote_owner(f) {
-            let mut goals = vec![g.clone()];
-            goals.extend_from_slice(rest);
-            let node = self.make_node(sid, b, template, &goals, prov);
             let token = self.remote_waits.len();
             self.remote_waits.push((f, node));
             let call = self.arena.terms(&key);
@@ -830,12 +902,6 @@ impl<'e> Machine<'e> {
             return Ok(());
         }
         let watched = self.find_or_create_subgoal(f, key)?;
-        // Reconstitute this node (with the tabled goal still selected) as a
-        // consumer of the callee's table. The trail parks on the consumer;
-        // each answer return extends a copy of it with the consumed answer.
-        let mut goals = vec![g.clone()];
-        goals.extend_from_slice(rest);
-        let node = self.make_node(sid, b, template, &goals, prov);
         let cid = self.consumers.len();
         // Back-fill the answers the table already holds and park the cursor
         // at the high-water mark; `add_answer` advances it from there, so
@@ -876,31 +942,40 @@ impl<'e> Machine<'e> {
         }
         self.subgoals.push(state);
         self.lookup.insert((f, key.root_id()), sid);
-        // Spawn generator nodes: one per resolving program clause. Each
-        // starts a fresh derivation trail rooted at its clause — the answers
-        // it eventually produces are supported by that clause.
-        let mut b = self.take_bindings();
-        let call_args = self.arena.instantiate(&key, &mut b);
+        // Spawn generator nodes: one per resolving program clause, read in
+        // place in a frame after the call's. Each starts a fresh derivation
+        // trail rooted at its clause — the answers it eventually produces
+        // are supported by that clause.
+        let mut st = self.take_step();
+        st.env.frame(key.num_vars());
         let db = self.db;
+        let occurs = self.opts.occur_check;
         let spans_on = self.spans.is_some();
         if spans_on {
             self.span_enter("clause_resolution", Some(f));
         }
-        for (cidx, clause) in db.matching_clauses_iter(f, call_args.first()) {
+        let first = self.first_head(self.arena.members(key.root_id()));
+        for (cidx, clause) in db.matching_clauses_by_head(f, first) {
             self.stats.clause_resolutions += 1;
             if let Some(sink) = self.trace {
                 sink.event(&TraceEvent::ClauseResolution { pred: f });
             }
-            let m = b.mark();
-            let base = b.fresh_block(clause.nvars);
-            let mut rename = |t: &Term| t.map_vars(&mut |v| Term::Var(Var(base.0 + v.0)));
-            let head = rename(&clause.head);
-            let ok = call_args
+            let m = st.env.mark();
+            let base = st.env.frame(clause.nvars);
+            let ok = self
+                .arena
+                .members(key.root_id())
                 .iter()
-                .zip(head.args().iter())
-                .all(|(x, y)| self.unif(&mut b, x, y));
+                .zip(clause.head.args())
+                .all(|(&x, y)| {
+                    st.env.unify(
+                        &self.arena,
+                        &Val::Id(x, 0),
+                        &Val::Term(y.clone(), base),
+                        occurs,
+                    )
+                });
             if ok {
-                let goals: Vec<Term> = clause.body.iter().map(&mut rename).collect();
                 let prov = self.opts.record_provenance.then(|| {
                     Box::new(NodeProv {
                         clauses: vec![ClauseRef {
@@ -910,12 +985,24 @@ impl<'e> Machine<'e> {
                         premises: Vec::new(),
                     })
                 });
-                let n = self.make_node(sid, &b, &call_args, &goals, prov);
-                self.push(Task::Expand(n));
+                self.open(&mut st, key.root_id(), f.arity);
+                st.goals
+                    .extend(clause.body.iter().map(|t| Val::Term(t.clone(), base)));
+                if self.schedule(&mut st, sid, None, prov).is_err() {
+                    let call = self.arena.terms(&key);
+                    let goal = if call.is_empty() {
+                        Term::Atom(f.name)
+                    } else {
+                        Term::Struct(f.name, call.into())
+                    };
+                    return Err(EngineError::CyclicTerm(tablog_syntax::term_to_string(
+                        &goal,
+                    )));
+                }
             }
-            b.undo_to(m);
+            st.env.undo_to(m);
         }
-        self.give_bindings(b);
+        self.give_step(st);
         if spans_on {
             self.span_exit();
         }
@@ -931,10 +1018,19 @@ impl<'e> Machine<'e> {
         (owner != par.me).then_some(owner)
     }
 
-    fn open_call_key(&mut self, f: Functor) -> CanonicalTerm {
-        let b = Bindings::new();
-        let args: Vec<Term> = (0..f.arity).map(|i| Term::Var(Var(i as u32))).collect();
-        self.arena.canonicalize(&b, &args)
+    /// The most general call to `f`: distinct fresh variables.
+    fn open_call_key(&mut self, st: &mut Step, f: Functor) -> CanonicalTerm {
+        let m = st.env.mark();
+        let base = st.env.frame(f.arity);
+        st.goals.clear();
+        st.goals
+            .extend((0..f.arity as u32).map(|i| Val::Term(Term::Var(Var(i)), base)));
+        let key = self
+            .arena
+            .resolve(&st.env, &st.goals)
+            .expect("an unbound frame has no cycle");
+        st.env.undo_to(m);
+        key
     }
 }
 

@@ -509,3 +509,34 @@ fn arenas_are_isolated_per_evaluation() {
     drop(e1);
     assert_eq!(e2.root_answers().len(), 3);
 }
+
+#[test]
+fn unify_builtin_honours_occur_check() {
+    let src = "p(Y) :- X = f(X), Y = a.";
+    let plain = solve(src, "p(Y)");
+    assert_eq!(plain.to_strings(), vec!["Y = a"]);
+    let mut e = Engine::from_source(src).unwrap();
+    e.options_mut().occur_check = true;
+    assert!(e.solve("p(Y)").unwrap().is_empty());
+}
+
+#[test]
+fn cyclic_bindings_are_a_typed_error() {
+    for (src, goal) in [
+        (":- table p/1. p(Y) :- X = f(X), Y = X.", "p(Y)"),
+        (":- table r/1. r(Y) :- q(Y). q(X) :- X = f(X).", "r(Y)"),
+        // Head unification alone: p(A, A) against p(X, f(X)).
+        (":- table p/2. p(X, f(X)).", "p(A, A)"),
+    ] {
+        let err = Engine::from_source(src).unwrap().solve(goal).unwrap_err();
+        let EngineError::CyclicTerm(g) = &err else {
+            panic!("{goal}: expected a cyclic-term error, got {err:?}");
+        };
+        assert!(!g.is_empty(), "{goal}: the error names the goal");
+        assert!(err.to_string().starts_with("cyclic term"), "{err}");
+    }
+    // With the occur check on, the same unifications simply fail.
+    let mut e = Engine::from_source(":- table r/1. r(Y) :- q(Y). q(X) :- X = f(X).").unwrap();
+    e.options_mut().occur_check = true;
+    assert!(e.solve("r(Y)").unwrap().is_empty());
+}

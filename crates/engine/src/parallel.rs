@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
-use tablog_term::{Bindings, Functor, Term, TermArena};
+use tablog_term::{Bindings, CanonicalTerm, Functor, SharedTerms, Term, TermArena};
 use tablog_trace::{now_ns, FlowEvent, HealthSnapshot, MsgKind, StallWatchdog, TraceEvent};
 
 /// Cross-worker message. Terms are materialized (`Arc`-backed) so they are
@@ -204,6 +204,10 @@ pub(crate) struct ParCtx {
     /// Completed flow records: the receiver holds both endpoints'
     /// timestamps, so flows are recorded here, on the receiving side.
     flows: RefCell<Vec<FlowEvent>>,
+    /// Ground structure already interned from received messages: each
+    /// answer a table forwards shares most of its terms with the last, so
+    /// re-canonicalizing it walks only what is new.
+    wire: SharedTerms,
 }
 
 impl ParCtx {
@@ -221,6 +225,7 @@ impl ParCtx {
             recv_answers: zeros(),
             recv_bytes: zeros(),
             flows: RefCell::new(Vec::new()),
+            wire: SharedTerms::default(),
         }
     }
 
@@ -343,8 +348,7 @@ impl Machine<'_> {
                 // canonical form is arena-independent, so this is exactly
                 // the caller's call pattern. The subgoal lookup then dedups
                 // repeated remote calls the same way local calls dedup.
-                let empty = Bindings::new();
-                let key = self.arena.canonicalize(&empty, &call);
+                let key = self.intern_wire(&call);
                 let bytes = self.arena.heap_bytes(&key);
                 let me = self.par.as_ref().expect("message implies parallel");
                 me.on_receive(MsgKind::Call, from, bytes, flow);
@@ -373,11 +377,9 @@ impl Machine<'_> {
                 from,
                 flow,
             } => {
-                // Intern the wire answer for byte accounting; the interning
-                // is hash-consed, so the delivery below re-canonicalizing
-                // the same tuple costs a lookup, not a second copy.
-                let empty = Bindings::new();
-                let ans = self.arena.canonicalize(&empty, &args);
+                // Intern the wire answer once, for byte accounting and for
+                // the delivery below.
+                let ans = self.intern_wire(&args);
                 let bytes = self.arena.heap_bytes(&ans);
                 let me = self.par.as_ref().expect("message implies parallel");
                 me.on_receive(MsgKind::Answer, from, bytes, flow);
@@ -386,7 +388,7 @@ impl Machine<'_> {
                     let pred = self.remote_waits[token].0;
                     self.span_enter("answer_return", Some(pred));
                 }
-                let r = self.deliver_remote_answer(token, &args);
+                let r = self.deliver_remote_answer(token, ans);
                 if spans_on {
                     self.span_exit();
                 }
@@ -395,9 +397,21 @@ impl Machine<'_> {
         }
     }
 
+    /// Canonicalizes wire terms into this worker's arena: variant canonical
+    /// form is arena-independent, so the result is the sender's tuple.
+    fn intern_wire(&mut self, ts: &[Term]) -> CanonicalTerm {
+        let par = self.par.as_mut().expect("message implies parallel");
+        self.arena.canonicalize_shared(ts, &mut par.wire)
+    }
+
     /// The remote analog of `return_answer`: resumes the parked consumer
-    /// node with one answer that arrived from the owning worker.
-    fn deliver_remote_answer(&mut self, token: usize, args: &[Term]) -> Result<(), EngineError> {
+    /// node with one answer that arrived from the owning worker, already
+    /// interned here.
+    fn deliver_remote_answer(
+        &mut self,
+        token: usize,
+        ans: CanonicalTerm,
+    ) -> Result<(), EngineError> {
         let (pred, node) = {
             let (p, n) = &self.remote_waits[token];
             (*p, n.clone())
@@ -405,30 +419,7 @@ impl Machine<'_> {
         if let Some(sink) = self.trace {
             sink.event(&TraceEvent::AnswerReturn { pred });
         }
-        let mut b = self.take_bindings();
-        let ts = self
-            .arena
-            .instantiate(&self.arena.handle(node.root), &mut b);
-        let (template, goals) = ts.split_at(self.split(&node));
-        let (g, rest) = goals
-            .split_first()
-            .expect("remote wait has a selected goal");
-        // Intern the answer locally, then instantiate — fresh variables in
-        // `b`, exactly like the local answer-return path.
-        let empty = Bindings::new();
-        let ans = self.arena.canonicalize(&empty, args);
-        let ans_args = self.arena.instantiate(&ans, &mut b);
-        let ok = g
-            .args()
-            .iter()
-            .zip(ans_args.iter())
-            .all(|(x, y)| self.unif(&mut b, x, y));
-        if ok {
-            let n = self.make_node(node.subgoal as usize, &b, template, rest, None);
-            self.push(crate::machine::Task::Expand(n));
-        }
-        self.give_bindings(b);
-        Ok(())
+        self.resume(node.subgoal as usize, node.root, ans, |_| None)
     }
 }
 
@@ -914,13 +905,12 @@ fn settle_worker(m: &mut Machine<'_>, rx: &Receiver<Msg>) -> Result<(), EngineEr
             // Same receiver-side accounting as the live path, so truncated
             // runs still balance their message matrices for answers that
             // made it across before the trip.
-            let empty = Bindings::new();
-            let ans = m.arena.canonicalize(&empty, &args);
+            let ans = m.intern_wire(&args);
             let bytes = m.arena.heap_bytes(&ans);
             if let Some(par) = m.par.as_ref() {
                 par.on_receive(MsgKind::Answer, from, bytes, flow);
             }
-            m.deliver_remote_answer(token, &args)?;
+            m.deliver_remote_answer(token, ans)?;
         }
     }
     // Expand exactly the pure inserts those deliveries scheduled
@@ -1211,20 +1201,22 @@ fn merge(
     let mut arena = TermArena::new();
     let mut subgoals = Vec::new();
     let mut stats = TableStats::default();
-    let empty = Bindings::new();
     for (wsubs, warena, wstats, _telemetry) in results {
         stats.steps += wstats.steps;
         stats.clause_resolutions += wstats.clause_resolutions;
         stats.subgoals += wstats.subgoals;
         stats.answers += wstats.answers;
         stats.duplicate_answers += wstats.duplicate_answers;
+        // One memo per worker arena: its answers share cached ground
+        // structure, which is then interned here once.
+        let mut shared = SharedTerms::default();
         for s in wsubs {
             let call = warena.terms(&s.call);
-            let key = arena.canonicalize(&empty, &call);
+            let key = arena.canonicalize_shared(&call, &mut shared);
             let mut ns = SubgoalState::new(s.functor, key, &arena);
             for a in &s.answers {
                 let terms = warena.terms(a);
-                let ca = arena.canonicalize(&empty, &terms);
+                let ca = arena.canonicalize_shared(&terms, &mut shared);
                 if ns.answer_ids.insert(ca.root_id()) {
                     ns.charge(&ca, &arena);
                     ns.add_entry_overhead();

@@ -221,6 +221,16 @@ impl Solutions {
 
     /// Renders each answer as `X = t1, Y = t2`.
     pub fn to_strings(&self) -> Vec<String> {
+        self.render(None)
+    }
+
+    /// Like [`Solutions::to_strings`], eliding subterms nested deeper than
+    /// `max_depth` (see [`tablog_syntax::TermWriter::with_max_depth`]).
+    pub fn to_strings_max_depth(&self, max_depth: usize) -> Vec<String> {
+        self.render(Some(max_depth))
+    }
+
+    fn render(&self, max_depth: Option<usize>) -> Vec<String> {
         self.rows
             .iter()
             .map(|row| {
@@ -228,6 +238,9 @@ impl Solutions {
                     "true".to_owned()
                 } else {
                     let mut w = tablog_syntax::TermWriter::new();
+                    if let Some(d) = max_depth {
+                        w = w.with_max_depth(d);
+                    }
                     self.names
                         .iter()
                         .zip(row)

@@ -417,13 +417,15 @@ fn apply_op_directive(ops: &mut OpTable, args: &[Term]) -> Result<(), ParseError
     let mut names = Vec::new();
     let mut cur = args[2].clone();
     loop {
-        match cur {
-            Term::Atom(a) if tablog_term::sym_name(a) == LIST_NIL => break,
+        match &cur {
+            Term::Atom(a) if tablog_term::sym_name(*a) == LIST_NIL => break,
             Term::Atom(a) => {
-                names.push(tablog_term::sym_name(a));
+                names.push(tablog_term::sym_name(*a));
                 break;
             }
-            Term::Struct(s, items) if items.len() == 2 && tablog_term::sym_name(s) == LIST_CONS => {
+            Term::Struct(s, items)
+                if items.len() == 2 && tablog_term::sym_name(*s) == LIST_CONS =>
+            {
                 if let Term::Atom(a) = &items[0] {
                     names.push(tablog_term::sym_name(*a));
                 } else {

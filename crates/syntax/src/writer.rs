@@ -15,6 +15,10 @@ use tablog_term::{sym_name, Term, Var};
 pub struct TermWriter {
     ops: OpTable,
     names: HashMap<Var, String>,
+    /// Subterms nested deeper than this, and list elements past this many,
+    /// are written as `...`; `None` writes everything.
+    max_depth: Option<usize>,
+    depth: usize,
 }
 
 impl TermWriter {
@@ -28,7 +32,19 @@ impl TermWriter {
         TermWriter {
             ops,
             names: HashMap::new(),
+            ..TermWriter::default()
         }
+    }
+
+    /// Elides what lies deeper than `depth`: a subterm nested more than
+    /// `depth` levels down is written as `...`, and a list longer than
+    /// `depth` elements as `[e1,…,ed|...]` — the `max_depth` write option
+    /// of Prolog toplevels. A budget-truncated divergent run can derive
+    /// terms nested hundreds of thousands deep; this keeps each rendered
+    /// answer short.
+    pub fn with_max_depth(mut self, depth: usize) -> Self {
+        self.max_depth = Some(depth);
+        self
     }
 
     fn var_name(&mut self, v: Var) -> String {
@@ -55,6 +71,16 @@ impl TermWriter {
     }
 
     fn write_prec(&mut self, out: &mut String, t: &Term, max: u32) {
+        if self.max_depth.is_some_and(|d| self.depth >= d) {
+            push_token(out, "...");
+            return;
+        }
+        self.depth += 1;
+        self.write_term(out, t, max);
+        self.depth -= 1;
+    }
+
+    fn write_term(&mut self, out: &mut String, t: &Term, max: u32) {
         match t {
             Term::Var(v) => {
                 let n = self.var_name(*v);
@@ -169,14 +195,19 @@ impl TermWriter {
     fn write_list(&mut self, out: &mut String, t: &Term) {
         out.push('[');
         let mut cur = t;
-        let mut first = true;
+        let mut len = 0;
         loop {
             match cur {
                 Term::Struct(s, args) if args.len() == 2 && sym_name(*s) == LIST_CONS => {
-                    if !first {
+                    if len > 0 {
                         out.push(',');
                     }
-                    first = false;
+                    if self.max_depth.is_some_and(|d| len >= d) {
+                        out.truncate(out.len() - 1);
+                        out.push_str("|...");
+                        break;
+                    }
+                    len += 1;
                     self.write_prec(out, &args[0], 999);
                     cur = &args[1];
                 }
@@ -248,6 +279,22 @@ pub fn term_to_string(t: &Term) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_depth_elides_deep_terms_and_long_lists() {
+        let mut t = crate::parse_term("z", &mut tablog_term::Bindings::new())
+            .unwrap()
+            .0;
+        for _ in 0..5 {
+            t = tablog_term::structure("s", vec![t]);
+        }
+        let mut w = TermWriter::new().with_max_depth(3);
+        assert_eq!(w.write(&t), "s(s(s(...)))");
+        let mut b = tablog_term::Bindings::new();
+        let (l, _) = crate::parse_term("[a,b,c,d]", &mut b).unwrap();
+        assert_eq!(w.write(&l), "[a,b,c|...]");
+        assert_eq!(TermWriter::new().write(&t), "s(s(s(s(s(z)))))");
+    }
     use crate::parser::parse_term;
     use tablog_term::{is_variant, Bindings};
 

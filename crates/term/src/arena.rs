@@ -41,6 +41,7 @@
 //! [`crate::canonical_key`], …) for callers that don't carry a session.
 
 use crate::bindings::Bindings;
+use crate::env::{Cyclic, Env, Val};
 use crate::symbol::Sym;
 use crate::term::{Term, Var};
 use std::collections::HashSet;
@@ -58,6 +59,20 @@ impl TermId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// One interned node, read from outside the arena: a variable's canonical
+/// number, an atom, an integer, or a compound with its children's ids.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TermView<'a> {
+    /// Canonical variable `_n`.
+    Var(u32),
+    /// A 0-ary symbol.
+    Atom(Sym),
+    /// A machine integer.
+    Int(i64),
+    /// A compound term and its argument ids.
+    Struct(Sym, &'a [TermId]),
 }
 
 /// The kind of an interned node.
@@ -113,6 +128,9 @@ const _: () = assert!(std::mem::size_of::<Node>() == 32);
 
 /// Empty slot / absent index.
 const NONE: u32 = u32::MAX;
+/// `var_index` mark of a bound cell whose value is being resolved: meeting
+/// it again means the binding reaches itself.
+const ACTIVE: u32 = u32::MAX - 1;
 
 /// Nodes per chunk: 1024 × 32 B = 32 KiB.
 const NODE_CHUNK_BITS: u32 = 10;
@@ -152,8 +170,14 @@ struct Scratch {
     /// number, [`NONE`] when not yet seen in the current call.
     var_index: Vec<u32>,
     /// Variables numbered in the current call, in first-occurrence order;
-    /// resets `var_index` afterwards.
+    /// resets `var_index` afterwards. [`Arena::resolve_tuple`] also lists
+    /// the bound cells it memoized here.
     touched: Vec<u32>,
+    /// Next canonical variable number in [`Arena::resolve_tuple`].
+    next_var: u32,
+    /// [`Arena::canon`]'s path: each compound being interned, the index
+    /// of its next argument, and where its children start on `stack`.
+    path: Vec<(Term, u32, u32)>,
 }
 
 #[derive(Clone, Default)]
@@ -345,7 +369,7 @@ impl Arena {
             }
         };
         let id = self.len();
-        assert!(id < NONE as usize, "term arena exhausted");
+        assert!(id < ACTIVE as usize, "term arena exhausted");
         if id.is_multiple_of(NODE_CHUNK) {
             self.nodes.push(Vec::with_capacity(NODE_CHUNK));
         }
@@ -382,31 +406,73 @@ impl Arena {
 
     /// Interns the canonical form of `t` as seen through `b`, numbering free
     /// variables in first-occurrence order. No intermediate `Term` is
-    /// allocated: the walk resolves bindings and interns bottom-up.
-    fn canon(&mut self, b: &Bindings, t: &Term, s: &mut Scratch) -> TermId {
-        match b.walk(t) {
-            Term::Var(v) => {
-                let i = v.index();
-                if i >= s.var_index.len() {
-                    s.var_index.resize(i + 1, NONE);
+    /// allocated: the walk resolves bindings and interns bottom-up. The
+    /// walk keeps its path on `s.path` rather than the call stack, so a
+    /// term nested arbitrarily deep cannot overflow it.
+    ///
+    /// With `memo`, ground compounds are remembered by the address of their
+    /// argument list (valid only while `b` binds nothing).
+    fn canon(
+        &mut self,
+        b: &Bindings,
+        t: &Term,
+        s: &mut Scratch,
+        mut memo: Option<&mut SharedTerms>,
+    ) -> TermId {
+        let floor = s.path.len();
+        let mut cur = b.walk(t).clone();
+        loop {
+            // Descend to a leaf, leaving one frame per compound passed.
+            let mut id = match &cur {
+                Term::Var(v) => {
+                    let i = v.index();
+                    if i >= s.var_index.len() {
+                        s.var_index.resize(i + 1, NONE);
+                    }
+                    if s.var_index[i] == NONE {
+                        s.var_index[i] = s.touched.len() as u32;
+                        s.touched.push(v.0);
+                    }
+                    self.intern(Shape::Var(s.var_index[i]))
                 }
-                if s.var_index[i] == NONE {
-                    s.var_index[i] = s.touched.len() as u32;
-                    s.touched.push(v.0);
+                Term::Atom(a) => self.intern(Shape::Atom(*a)),
+                Term::Int(i) => self.intern(Shape::Int(*i)),
+                Term::Struct(f, args) if args.is_empty() => self.intern(Shape::Struct(*f, &[])),
+                Term::Struct(_, args) => match memo.as_deref().and_then(|m| m.get(args)) {
+                    Some(id) => id,
+                    None => {
+                        let first = b.walk(&args[0]).clone();
+                        s.path.push((cur, 1, s.stack.len() as u32));
+                        cur = first;
+                        continue;
+                    }
+                },
+            };
+            // Climb: hand the finished child to its parent, then either
+            // descend into the parent's next argument or finish the parent.
+            loop {
+                if s.path.len() == floor {
+                    return id;
                 }
-                self.intern(Shape::Var(s.var_index[i]))
-            }
-            Term::Atom(a) => self.intern(Shape::Atom(*a)),
-            Term::Int(i) => self.intern(Shape::Int(*i)),
-            Term::Struct(f, args) => {
-                let mark = s.stack.len();
-                for a in args.iter() {
-                    let k = self.canon(b, a, s);
-                    s.stack.push(k);
+                s.stack.push(id);
+                let (parent, next, mark) = s.path.last_mut().expect("frame above the floor");
+                let Term::Struct(f, args) = &*parent else {
+                    unreachable!("only compounds are pushed")
+                };
+                if (*next as usize) < args.len() {
+                    cur = b.walk(&args[*next as usize]).clone();
+                    *next += 1;
+                    break;
                 }
-                let id = self.intern(Shape::Struct(*f, &s.stack[mark..]));
+                let (f, mark) = (*f, *mark as usize);
+                id = self.intern(Shape::Struct(f, &s.stack[mark..]));
                 s.stack.truncate(mark);
-                id
+                let (done, ..) = s.path.pop().expect("frame above the floor");
+                if let Some(m) = memo.as_deref_mut() {
+                    if self.node(id).is_ground() {
+                        m.insert(done, id);
+                    }
+                }
             }
         }
     }
@@ -484,6 +550,230 @@ impl Arena {
         }
     }
 
+    /// The canonical number of cell `c` (numbered on first sight), or the
+    /// memoized id of its binding, resolving it on first sight.
+    fn resolve_cell(
+        &mut self,
+        env: &Env,
+        c: u32,
+        var_node: Option<TermId>,
+        s: &mut Scratch,
+    ) -> Result<TermId, Cyclic> {
+        let i = c as usize;
+        if i >= s.var_index.len() {
+            s.var_index.resize(i + 1, NONE);
+        }
+        match &env.cells[i] {
+            None => {
+                if s.var_index[i] == NONE {
+                    s.var_index[i] = s.next_var;
+                    s.next_var += 1;
+                    s.touched.push(c);
+                }
+                let k = s.var_index[i];
+                match var_node {
+                    Some(id) if self.node(id).name == k => Ok(id),
+                    _ => Ok(self.intern(Shape::Var(k))),
+                }
+            }
+            // A resolved binding is memoized: every variable in it was
+            // numbered on its first resolution, so it resolves to the
+            // same id each time.
+            Some(v) => match s.var_index[i] {
+                NONE => {
+                    s.var_index[i] = ACTIVE;
+                    s.touched.push(c);
+                    let id = self.resolve_val(env, v, s)?;
+                    s.var_index[i] = id.0;
+                    Ok(id)
+                }
+                ACTIVE => Err(Cyclic),
+                id => Ok(TermId(id)),
+            },
+        }
+    }
+
+    fn resolve_val(&mut self, env: &Env, v: &Val, s: &mut Scratch) -> Result<TermId, Cyclic> {
+        match v {
+            Val::Id(id, base) => self.resolve_id(env, *id, *base, s),
+            Val::Term(t, base) => self.resolve_term(env, t, *base, s),
+        }
+    }
+
+    /// Resolves an arena subterm read at `base`. Ground subterms come back
+    /// as they are, and so does any node whose children all do, so an
+    /// unchanged subtree costs a walk but no hash-cons probe.
+    fn resolve_id(
+        &mut self,
+        env: &Env,
+        id: TermId,
+        base: u32,
+        s: &mut Scratch,
+    ) -> Result<TermId, Cyclic> {
+        let n = *self.node(id);
+        match n.tag {
+            Tag::Var => self.resolve_cell(env, base + n.name, Some(id), s),
+            Tag::Struct if n.aux == NONE => {
+                let mark = s.stack.len();
+                let mut same = true;
+                for i in 0..(n.data >> 32) as usize {
+                    let k = self.kids(&n)[i];
+                    let r = self.resolve_id(env, k, base, s)?;
+                    same &= r == k;
+                    s.stack.push(r);
+                }
+                let out = if same {
+                    id
+                } else {
+                    self.intern(Shape::Struct(Sym(n.name), &s.stack[mark..]))
+                };
+                s.stack.truncate(mark);
+                Ok(out)
+            }
+            _ => Ok(id),
+        }
+    }
+
+    /// Resolves a stored term read at `base`, interning it bottom-up.
+    fn resolve_term(
+        &mut self,
+        env: &Env,
+        t: &Term,
+        base: u32,
+        s: &mut Scratch,
+    ) -> Result<TermId, Cyclic> {
+        match t {
+            Term::Var(x) => self.resolve_cell(env, base + x.0, None, s),
+            Term::Atom(a) => Ok(self.intern(Shape::Atom(*a))),
+            Term::Int(i) => Ok(self.intern(Shape::Int(*i))),
+            Term::Struct(f, args) => {
+                let mark = s.stack.len();
+                for a in args.iter() {
+                    let k = self.resolve_term(env, a, base, s)?;
+                    s.stack.push(k);
+                }
+                let id = self.intern(Shape::Struct(*f, &s.stack[mark..]));
+                s.stack.truncate(mark);
+                Ok(id)
+            }
+        }
+    }
+
+    /// Interns the canonical tuple of `members` as bound in `env`.
+    fn resolve_tuple(
+        &mut self,
+        arena_id: u32,
+        env: &Env,
+        members: &[Val],
+    ) -> Result<CanonicalTerm, Cyclic> {
+        let mut s = std::mem::take(&mut self.scratch);
+        let mut out = Ok(());
+        for v in members {
+            match self.resolve_val(env, v, &mut s) {
+                Ok(k) => s.stack.push(k),
+                Err(e) => {
+                    out = Err(e);
+                    break;
+                }
+            }
+        }
+        let out = out.map(|()| {
+            let nvars = s.next_var;
+            let root = self.intern(Shape::Tuple(&s.stack, nvars));
+            CanonicalTerm::from_parts(root, nvars, self.node(root).hash, arena_id)
+        });
+        s.stack.clear();
+        for &c in &s.touched {
+            s.var_index[c as usize] = NONE;
+        }
+        s.touched.clear();
+        s.next_var = 0;
+        self.scratch = s;
+        out
+    }
+
+    /// `true` if some compound in `id` sits at depth `k` or below.
+    fn deeper_than(&self, id: TermId, k: usize) -> bool {
+        let n = self.node(id);
+        n.tag == Tag::Struct && (k == 0 || self.kids(n).iter().any(|&c| self.deeper_than(c, k - 1)))
+    }
+
+    /// [`TermArena::truncate`]'s walk: canonical variable `_n` of the input
+    /// is renumbered through `var_index[n]`, a cut-off compound becomes
+    /// `ground` or a fresh variable.
+    fn truncate_id(&mut self, id: TermId, k: usize, ground: Sym, s: &mut Scratch) -> TermId {
+        let n = *self.node(id);
+        match n.tag {
+            Tag::Var => {
+                let i = n.name as usize;
+                if i >= s.var_index.len() {
+                    s.var_index.resize(i + 1, NONE);
+                }
+                if s.var_index[i] == NONE {
+                    s.var_index[i] = s.next_var;
+                    s.next_var += 1;
+                    s.touched.push(n.name);
+                }
+                let k = s.var_index[i];
+                if k == n.name {
+                    id
+                } else {
+                    self.intern(Shape::Var(k))
+                }
+            }
+            Tag::Struct if k == 0 => {
+                if n.is_ground() {
+                    self.intern(Shape::Atom(ground))
+                } else {
+                    s.next_var += 1;
+                    self.intern(Shape::Var(s.next_var - 1))
+                }
+            }
+            Tag::Struct => {
+                let mark = s.stack.len();
+                let mut same = true;
+                for i in 0..(n.data >> 32) as usize {
+                    let c = self.kids(&n)[i];
+                    let r = self.truncate_id(c, k - 1, ground, s);
+                    same &= r == c;
+                    s.stack.push(r);
+                }
+                let out = if same {
+                    id
+                } else {
+                    self.intern(Shape::Struct(Sym(n.name), &s.stack[mark..]))
+                };
+                s.stack.truncate(mark);
+                out
+            }
+            _ => id,
+        }
+    }
+
+    fn truncate(&mut self, arena_id: u32, root: TermId, k: usize, ground: Sym) -> CanonicalTerm {
+        let n = self.node(root);
+        if !self.kids(n).iter().any(|&m| self.deeper_than(m, k)) {
+            return CanonicalTerm::from_parts(root, n.aux, n.hash, arena_id);
+        }
+        let mut s = std::mem::take(&mut self.scratch);
+        let len = self.kids(self.node(root)).len();
+        for i in 0..len {
+            let m = self.kids(self.node(root))[i];
+            let r = self.truncate_id(m, k, ground, &mut s);
+            s.stack.push(r);
+        }
+        let nvars = s.next_var;
+        let out = self.intern(Shape::Tuple(&s.stack, nvars));
+        s.stack.clear();
+        for &v in &s.touched {
+            s.var_index[v as usize] = NONE;
+        }
+        s.touched.clear();
+        s.next_var = 0;
+        self.scratch = s;
+        CanonicalTerm::from_parts(out, nvars, self.node(out).hash, arena_id)
+    }
+
     /// Canonicalizes the concatenation `xs ++ ys` into a tuple node.
     fn canonicalize(
         &mut self,
@@ -491,10 +781,11 @@ impl Arena {
         b: &Bindings,
         xs: &[Term],
         ys: &[Term],
+        mut memo: Option<&mut SharedTerms>,
     ) -> CanonicalTerm {
         let mut s = std::mem::take(&mut self.scratch);
         for t in xs.iter().chain(ys) {
-            let k = self.canon(b, t, &mut s);
+            let k = self.canon(b, t, &mut s, memo.as_deref_mut());
             s.stack.push(k);
         }
         let nvars = s.touched.len() as u32;
@@ -511,6 +802,33 @@ impl Arena {
 }
 
 use super::variant::CanonicalTerm;
+
+/// Ground compounds a [`TermArena`] has interned from shared [`Term`]s,
+/// remembered by the address of their argument list (see
+/// [`TermArena::canonicalize_shared`]). Holds a clone of each remembered
+/// term, so no remembered address can be freed and reused.
+#[derive(Clone, Debug, Default)]
+pub struct SharedTerms {
+    ids: std::collections::HashMap<usize, TermId>,
+    keep: Vec<Term>,
+}
+
+impl SharedTerms {
+    fn key(args: &std::sync::Arc<[Term]>) -> usize {
+        std::sync::Arc::as_ptr(args) as *const Term as usize
+    }
+
+    fn get(&self, args: &std::sync::Arc<[Term]>) -> Option<TermId> {
+        self.ids.get(&Self::key(args)).copied()
+    }
+
+    fn insert(&mut self, t: Term, id: TermId) {
+        if let Term::Struct(_, args) = &t {
+            self.ids.insert(Self::key(args), id);
+            self.keep.push(t);
+        }
+    }
+}
 
 /// A session-scoped hash-consing term arena.
 ///
@@ -571,13 +889,24 @@ impl TermArena {
     /// Canonicalizes a tuple of terms after resolving them through `b`;
     /// see [`crate::canonicalize`].
     pub fn canonicalize(&mut self, b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize(self.id, b, ts, &[])
+        self.inner.canonicalize(self.id, b, ts, &[], None)
+    }
+
+    /// Canonicalizes unbound terms that share structure with terms given
+    /// before — answers shipped between arenas, each extending the last.
+    /// A ground compound interned once is found again by the address of
+    /// its argument list, so a term that shares it costs no second walk.
+    /// `memo` belongs to this arena.
+    pub fn canonicalize_shared(&mut self, ts: &[Term], memo: &mut SharedTerms) -> CanonicalTerm {
+        let empty = Bindings::new();
+        self.inner
+            .canonicalize(self.id, &empty, ts, &[], Some(memo))
     }
 
     /// Canonicalizes the concatenation of two tuples without allocating the
     /// concatenated slice; see [`crate::canonicalize2`].
     pub fn canonicalize2(&mut self, b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize(self.id, b, xs, ys)
+        self.inner.canonicalize(self.id, b, xs, ys, None)
     }
 
     /// Canonicalizes a single already-resolved term.
@@ -600,6 +929,85 @@ impl TermArena {
             "{root:?} is not a canonical tuple root"
         );
         CanonicalTerm::from_parts(root, n.aux, n.hash, self.id)
+    }
+
+    /// The node `id`, read from outside: its kind and children.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is a tuple root; see [`TermArena::members`].
+    pub fn view(&self, id: TermId) -> TermView<'_> {
+        let n = self.inner.node(id);
+        match n.tag {
+            Tag::Var => TermView::Var(n.name),
+            Tag::Atom => TermView::Atom(Sym(n.name)),
+            Tag::Int => TermView::Int(n.data as i64),
+            Tag::Struct => TermView::Struct(Sym(n.name), self.inner.kids(n)),
+            Tag::Tuple => panic!("{id:?} is a tuple root, not a term"),
+        }
+    }
+
+    /// The argument ids of a compound node; empty for anything else.
+    pub fn args(&self, id: TermId) -> &[TermId] {
+        let n = self.inner.node(id);
+        match n.tag {
+            Tag::Struct => self.inner.kids(n),
+            _ => &[],
+        }
+    }
+
+    /// `true` if the subterm `id` contains no variable.
+    pub fn is_ground(&self, id: TermId) -> bool {
+        self.inner.node(id).is_ground()
+    }
+
+    /// The member ids of the canonical tuple rooted at `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not the root of a canonical tuple.
+    pub fn members(&self, root: TermId) -> &[TermId] {
+        self.inner.tuple_children(root)
+    }
+
+    /// Materializes the subterm `id` with canonical variable `_n` as
+    /// `Var(base + n)`; ground compounds come from the cache.
+    pub fn term_at(&self, id: TermId, base: u32) -> Term {
+        self.inner.instantiate_node(id, base)
+    }
+
+    /// Interns the compound `name(args…)` over already-interned arguments.
+    /// Its variables keep the numbering of the tuple `args` were taken
+    /// from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `args` is empty (that would be an atom).
+    pub fn intern_struct(&mut self, name: Sym, args: &[TermId]) -> TermId {
+        assert!(!args.is_empty(), "a compound has at least one argument");
+        self.inner.intern(Shape::Struct(name, args))
+    }
+
+    /// Interns the canonical tuple of `members` as bound in `env` — the
+    /// resolvent of a resolution step — without materializing any term.
+    /// Arena subterms that the bindings leave unchanged are reused as they
+    /// are, so only new structure is probed for or stored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Cyclic`] when some binding reaches itself (a unification
+    /// without occur check bound a variable to a term containing it).
+    pub fn resolve(&mut self, env: &Env, members: &[Val]) -> Result<CanonicalTerm, Cyclic> {
+        self.inner.resolve_tuple(self.id, env, members)
+    }
+
+    /// Truncates every term of `c` at depth `k`: a compound nested `k`
+    /// levels deep becomes the atom `ground` if it is ground and a fresh
+    /// variable otherwise. Returns `c` itself, without interning anything,
+    /// when no compound is that deep.
+    pub fn truncate(&mut self, c: &CanonicalTerm, k: usize, ground: Sym) -> CanonicalTerm {
+        self.check(c);
+        self.inner.truncate(self.id, c.root_id(), k, ground)
     }
 
     /// Number of member terms in `c`'s canonical tuple.
@@ -666,11 +1074,11 @@ impl TermArena {
 // intern, and repeated analyses no longer accumulate state here.
 
 pub(crate) fn canonicalize_in(b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, ts, &[]))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, ts, &[], None))
 }
 
 pub(crate) fn canonicalize2_in(b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, xs, ys))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, xs, ys, None))
 }
 
 #[inline]
@@ -850,6 +1258,45 @@ mod tests {
             // `a` dropped here: its forest goes with it.
         }
         assert_eq!(arena_stats(), global_before);
+    }
+
+    #[test]
+    fn truncate_cuts_at_depth_and_renumbers() {
+        let mut a = TermArena::new();
+        let gamma = crate::symbol::intern("$g");
+        let b = Bindings::new();
+        // f(g(a), h(X, k(Y)), X) cut at depth 1: g(a) is ground, so γ;
+        // h(…) is not, so a fresh variable, which now comes before X.
+        let x = var(Var(0));
+        let t = structure(
+            "f",
+            vec![
+                structure("g", vec![atom("a")]),
+                structure("h", vec![x.clone(), structure("k", vec![var(Var(1))])]),
+                x,
+            ],
+        );
+        let c = a.canonicalize(&b, std::slice::from_ref(&t));
+        let cut = a.truncate(&c, 1, gamma);
+        let want = structure("f", vec![atom("$g"), var(Var(0)), var(Var(1))]);
+        assert_eq!(cut, a.canonicalize(&b, &[want]));
+        assert_eq!(cut.num_vars(), 2);
+        // Nothing that deep: the same handle back, nothing interned.
+        let nodes = a.stats().nodes;
+        assert_eq!(a.truncate(&cut, 1, gamma), cut);
+        assert_eq!(a.stats().nodes, nodes);
+    }
+
+    #[test]
+    fn resolve_reports_a_binding_that_reaches_itself() {
+        let mut a = TermArena::new();
+        let mut env = Env::new();
+        env.frame(1);
+        env.bind(0, Val::Term(structure("f", vec![var(Var(0))]), 0));
+        assert_eq!(a.resolve(&env, &[Val::cell(0)]), Err(Cyclic));
+        // The scratch state is reset: an acyclic resolve still works.
+        let ok = a.resolve(&Env::new(), &[Val::Term(atom("a"), 0)]).unwrap();
+        assert_eq!(a.terms(&ok), vec![atom("a")]);
     }
 
     #[test]

@@ -25,13 +25,17 @@
 
 mod arena;
 mod bindings;
+mod env;
 mod symbol;
 mod term;
 mod unify;
 mod variant;
 
-pub use arena::{arena_stats, charge_shared_bytes, ArenaStats, TermArena, TermId};
+pub use arena::{
+    arena_stats, charge_shared_bytes, ArenaStats, SharedTerms, TermArena, TermId, TermView,
+};
 pub use bindings::{Bindings, TrailMark};
+pub use env::{Cyclic, Env, EnvMark, Head, Val, Walked};
 pub use symbol::{intern, sym_name, sym_str, Sym};
 pub use term::{atom, int, structure, var, Functor, Term, Var};
 pub use unify::{unify, unify_occurs};

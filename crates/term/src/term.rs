@@ -52,9 +52,9 @@ impl fmt::Display for Functor {
 /// A first-order term: variable, atom (0-ary symbol), integer, or compound.
 ///
 /// Compound arguments are stored behind an [`Arc`] slice so that cloning a
-/// term — which the derivation-forest engine does when copying resolvents —
-/// is cheap and structure-sharing, and terms (hence engine sessions) are
-/// `Send`.
+/// term — which the engine does when it binds a variable to a stored clause
+/// term — is cheap and structure-sharing, and terms (hence engine sessions)
+/// are `Send`.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// An unbound (or bindable) logic variable.
@@ -219,6 +219,63 @@ pub fn structure(name: &str, args: Vec<Term>) -> Term {
         atom(name)
     } else {
         Term::Struct(intern(name), args.into())
+    }
+}
+
+/// Dropping a term frees its subterms in bounded stack space: nesting up
+/// to a fixed depth (512 levels) is freed by plain recursion, anything
+/// deeper through an explicit stack. A diverging derivation stopped by a
+/// budget builds terms nested hundreds of thousands deep, which recursive
+/// drop glue would overflow the stack on.
+impl Drop for Term {
+    fn drop(&mut self) {
+        empty_children(self, 0);
+    }
+}
+
+/// Nesting freed by recursion before [`Term`]'s drop switches to a heap
+/// stack.
+const DROP_RECURSION: usize = 512;
+
+/// Frees the compound children `t` owns alone, leaving them as integers,
+/// so that `t`'s own drop glue has nothing left to recurse into.
+fn empty_children(t: &mut Term, depth: usize) {
+    let Term::Struct(_, args) = t else { return };
+    // Only an argument list owned alone and holding compounds has anything
+    // to free here; plain reads rule the rest out before `get_mut`'s
+    // uniqueness handshake.
+    if Arc::strong_count(args) != 1 || !args.iter().any(|k| matches!(k, Term::Struct(..))) {
+        return;
+    }
+    let Some(kids) = Arc::get_mut(args) else {
+        return;
+    };
+    for k in kids.iter_mut() {
+        if !matches!(k, Term::Struct(..)) {
+            continue;
+        }
+        let mut child = std::mem::replace(k, Term::Int(0));
+        if depth < DROP_RECURSION {
+            empty_children(&mut child, depth + 1);
+        } else {
+            drop_deep(child);
+        }
+    }
+}
+
+/// Frees `t` with a heap stack of the compounds still to empty.
+fn drop_deep(t: Term) {
+    let mut stack = vec![t];
+    while let Some(mut c) = stack.pop() {
+        if let Term::Struct(_, args) = &mut c {
+            if let Some(kids) = Arc::get_mut(args) {
+                for k in kids.iter_mut() {
+                    if matches!(k, Term::Struct(..)) {
+                        stack.push(std::mem::replace(k, Term::Int(0)));
+                    }
+                }
+            }
+        }
     }
 }
 

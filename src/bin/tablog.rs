@@ -28,8 +28,9 @@
 //!                                       evaluate under resource budgets,
 //!                                       streaming health snapshots to
 //!                                       stderr; a tripped budget reports
-//!                                       the partial answers instead of
-//!                                       failing. --metrics writes the
+//!                                       the partial answers (subterms past
+//!                                       depth 32 written as `...`) instead
+//!                                       of failing. --metrics writes the
 //!                                       snapshot series as OpenMetrics text
 //! tablog explain FILE GOAL [--depth N] [--analysis A]
 //!                                       justification trees for GOAL's
@@ -87,6 +88,9 @@ use tablog_engine::{
     MetricsRegistry, MetricsReport, MultiSink, Scheduling, TraceSink,
 };
 use tablog_syntax::term_to_string;
+
+/// `watch` writes answer subterms nested deeper than this as `...`.
+const WATCH_MAX_DEPTH: usize = 32;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -744,9 +748,12 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     track.len()
                 );
             }
+            // A truncated divergent run can hold answers nested hundreds of
+            // thousands deep; elide below a fixed depth so the partial
+            // answer set stays printable.
+            let rows = sols.to_strings_max_depth(WATCH_MAX_DEPTH);
             if obs.json {
-                let answers: Vec<String> = sols
-                    .to_strings()
+                let answers: Vec<String> = rows
                     .iter()
                     .map(|a| format!("\"{}\"", tablog_trace::json::escape(a)))
                     .collect();
@@ -765,7 +772,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     health
                 );
             } else {
-                for row in sols.to_strings() {
+                for row in rows {
                     println!("{row}");
                 }
                 match sols.truncation() {

@@ -1252,3 +1252,22 @@ fn profile_folded_parallel_prefixes_worker_frames() {
         "{seq_text}"
     );
 }
+
+#[test]
+fn cyclic_binding_is_a_typed_error_not_an_abort() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/cyclic.pl");
+    for goal in ["p(Y)", "r(Y)"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tablog"))
+            .args(["query", file, goal])
+            .output()
+            .expect("spawn tablog");
+        let err = String::from_utf8_lossy(&out.stderr);
+        // Exit code 1 is the CLI's error path; a stack-overflow abort
+        // would end the process by a signal instead.
+        assert_eq!(out.status.code(), Some(1), "{goal}: {err}");
+        assert!(
+            err.contains("cyclic term: solving A=f(A)"),
+            "{goal}: the error names the goal: {err}"
+        );
+    }
+}
