@@ -25,23 +25,61 @@ use tablog_syntax::{parse_program, Program};
 use tablog_term::{sym_name, Functor, Term};
 use tablog_trace::{MetricsReport, PredStats, SpanEmitter, SpanRecorder};
 
-/// An abstract clause in the analyzer's internal form: head variables plus
-/// a list of constraints over dense variable ids.
-#[derive(Clone, Debug)]
+/// An abstract clause compiled to a fixed schedule of domain operations.
+///
+/// The evaluation table has one column per live variable. Which variables
+/// are live before and after each goal depends only on the clause, so
+/// lowering works out every column position, extension and narrowing once
+/// and evaluation just replays them against a call pattern.
+#[derive(Debug)]
 struct AbsClause {
-    head_vars: Vec<usize>,
-    goals: Vec<AbsGoal>,
-    /// `last_use[v]` = index of the last goal mentioning `v`.
-    last_use: Vec<usize>,
+    /// Width of the result: one column per head argument.
+    arity: usize,
+    steps: Vec<Step>,
+    /// Columns of the head arguments after the last step.
+    head_cols: Vec<usize>,
 }
 
-#[derive(Clone, Debug)]
-enum AbsGoal {
-    /// `x ⇔ y1 ∧ … ∧ yk`.
+/// One goal of a compiled clause.
+#[derive(Debug)]
+struct Step {
+    goal: StepGoal,
+    /// Fresh columns the goal's unseen variables add, appended before it.
+    extend: u32,
+    /// Table width once they are added.
+    width: u32,
+    /// Bit `c` set: column `c` is dead after the goal and is projected
+    /// away, the survivors keeping their order. Meaningless when `width`
+    /// is over the cap, since such a step fails before narrowing.
+    dropped: u32,
+}
+
+#[derive(Debug)]
+enum StepGoal {
+    /// `x ⇔ y1 ∧ … ∧ yk`, over columns.
     Iff(usize, Vec<usize>),
-    /// A call to a user predicate.
+    /// A call to a user predicate with arguments at these columns.
     Call(Functor, Vec<usize>),
 }
+
+/// Goals in the dense variable ids of one clause, before compilation.
+enum AbsGoal {
+    Iff(usize, Vec<usize>),
+    Call(Functor, Vec<usize>),
+}
+
+impl AbsGoal {
+    /// The variables the goal mentions, in argument order.
+    fn vars(&self) -> impl Iterator<Item = usize> + '_ {
+        let (first, rest) = match self {
+            AbsGoal::Iff(x, ys) => (Some(*x), ys.as_slice()),
+            AbsGoal::Call(_, args) => (None, args.as_slice()),
+        };
+        first.into_iter().chain(rest.iter().copied())
+    }
+}
+
+type Clauses = HashMap<Functor, Vec<AbsClause>>;
 
 /// Results of the direct analyzer for one predicate.
 #[derive(Clone, Debug)]
@@ -194,6 +232,20 @@ impl DirectExplanation {
 
 type Key<D> = (Functor, <D as AbstractDomain>::Value);
 
+/// Rejects a predicate wider than the truth-table cap. The cap holds for
+/// both backends (BDDs could go wider) so they accept the same programs.
+fn check_arity(f: Functor) -> Result<(), AnalysisError> {
+    if f.arity > MAX_VARS {
+        let name = sym_name(f.name);
+        return Err(AnalysisError::Unsupported(format!(
+            "predicate {}/{} needs more than {MAX_VARS} Prop variables",
+            name.strip_prefix(GP_PREFIX).unwrap_or(&name),
+            f.arity
+        )));
+    }
+    Ok(())
+}
+
 /// The worklist fixpoint solver, generic over the Prop-domain backend.
 /// `(predicate, call pattern)` pairs key the result table; since every
 /// backend's `Value` is canonical (bitsets for tables, hash-consed node
@@ -201,7 +253,6 @@ type Key<D> = (Functor, <D as AbstractDomain>::Value);
 /// keys behave identically across backends.
 struct Solver<D: AbstractDomain> {
     domain: D,
-    clauses: HashMap<Functor, Vec<AbsClause>>,
     results: HashMap<Key<D>, D::Value>,
     deps: HashMap<Key<D>, HashSet<Key<D>>>,
     queue: VecDeque<Key<D>>,
@@ -212,10 +263,18 @@ struct Solver<D: AbstractDomain> {
 }
 
 impl<D: AbstractDomain> Solver<D> {
-    fn enqueue(&mut self, key: Key<D>) {
-        if self.queued.insert(key.clone()) {
-            self.queue.push_back(key);
+    /// The predicate and call pattern of an entry point.
+    fn entry_key(&mut self, e: &EntryPoint) -> Result<Key<D>, AnalysisError> {
+        let arity = e.ground_args.len();
+        let f = gp(tablog_term::intern(&e.name), arity);
+        check_arity(f)?;
+        let mut cp = self.domain.top(arity);
+        for (i, &g) in e.ground_args.iter().enumerate() {
+            if g {
+                cp = self.domain.constrain_value(&cp, i, true);
+            }
         }
+        Ok((f, cp))
     }
 
     fn demand(&mut self, f: Functor, pattern: D::Value, caller: Option<&Key<D>>) -> D::Value {
@@ -231,22 +290,25 @@ impl<D: AbstractDomain> Solver<D> {
         }
         let bottom = self.domain.bottom(f.arity);
         self.results.insert(key.clone(), bottom.clone());
-        self.enqueue(key);
+        if self.queued.insert(key.clone()) {
+            self.queue.push_back(key);
+        }
         bottom
     }
 
-    fn run(&mut self) -> Result<(), AnalysisError> {
+    fn run(&mut self, clauses: &Clauses) -> Result<(), AnalysisError> {
         while let Some(key) = self.queue.pop_front() {
             self.queued.remove(&key);
             self.iterations += 1;
-            let computed = self.evaluate(&key)?;
-            let old = self.results.get(&key).expect("seeded").clone();
-            let merged = self.domain.join(&old, &computed);
-            if merged != old {
-                self.results.insert(key.clone(), merged);
-                if let Some(callers) = self.deps.get(&key).cloned() {
-                    for c in callers {
-                        self.enqueue(c);
+            let own = clauses.get(&key.0).map_or(&[][..], Vec::as_slice);
+            let computed = self.evaluate(own, &key)?;
+            let slot = self.results.get_mut(&key).expect("seeded");
+            let merged = self.domain.join(slot, &computed);
+            if merged != *slot {
+                *slot = merged;
+                for c in self.deps.get(&key).into_iter().flatten() {
+                    if self.queued.insert(c.clone()) {
+                        self.queue.push_back(c.clone());
                     }
                 }
             }
@@ -254,14 +316,13 @@ impl<D: AbstractDomain> Solver<D> {
         Ok(())
     }
 
-    fn evaluate(&mut self, key: &Key<D>) -> Result<D::Value, AnalysisError> {
+    fn evaluate(&mut self, clauses: &[AbsClause], key: &Key<D>) -> Result<D::Value, AnalysisError> {
         let (f, pattern) = key;
-        let clauses = self.clauses.get(f).cloned().unwrap_or_default();
         if let Some(stats) = self.profile.as_mut() {
             stats.entry(*f).or_default().clause_resolutions += clauses.len() as u64;
         }
         let mut acc = self.domain.bottom(f.arity);
-        for clause in &clauses {
+        for clause in clauses {
             let t = self.eval_clause(clause, pattern, key)?;
             acc = self.domain.join(&acc, &t);
         }
@@ -274,73 +335,42 @@ impl<D: AbstractDomain> Solver<D> {
         pattern: &D::Value,
         key: &Key<D>,
     ) -> Result<D::Value, AnalysisError> {
-        // Active variable set, initially the head variables; the table is
-        // the call pattern, one column per active variable.
-        let mut active: Vec<usize> = clause.head_vars.clone();
         let mut table = pattern.clone();
-        let head_set: HashSet<usize> = clause.head_vars.iter().copied().collect();
-        for (i, goal) in clause.goals.iter().enumerate() {
-            let mentioned: Vec<usize> = match goal {
-                AbsGoal::Iff(x, ys) => {
-                    let mut m = vec![*x];
-                    m.extend_from_slice(ys);
-                    m
-                }
-                AbsGoal::Call(_, args) => args.clone(),
-            };
-            // Introduce unseen variables as unconstrained columns. The
-            // width cap is enforced uniformly (even though BDDs could go
-            // wider) so both backends accept exactly the same programs.
-            for v in &mentioned {
-                if !active.contains(v) {
-                    if active.len() + 1 > MAX_VARS {
-                        return Err(AnalysisError::Unsupported(format!(
-                            "clause needs more than {MAX_VARS} live Prop variables"
-                        )));
-                    }
-                    table = self.domain.extend(&table, 1);
-                    active.push(*v);
-                }
+        for step in &clause.steps {
+            if step.width as usize > MAX_VARS {
+                return Err(AnalysisError::Unsupported(format!(
+                    "clause needs more than {MAX_VARS} live Prop variables"
+                )));
             }
-            let pos =
-                |v: usize| -> usize { active.iter().position(|&a| a == v).expect("active var") };
-            match goal {
-                AbsGoal::Iff(x, ys) => {
-                    let ix = pos(*x);
-                    let iys: Vec<usize> = ys.iter().map(|&y| pos(y)).collect();
-                    table = self.domain.constrain_iff(&table, ix, &iys);
+            if step.extend > 0 {
+                table = self.domain.extend(&table, step.extend as usize);
+            }
+            match &step.goal {
+                StepGoal::Iff(x, ys) => {
+                    table = self.domain.constrain_iff(&table, *x, ys);
                 }
-                AbsGoal::Call(g, args) => {
-                    let positions: Vec<usize> = args.iter().map(|&a| pos(a)).collect();
-                    let cp = self.domain.project(&table, &positions);
+                StepGoal::Call(g, cols) => {
+                    check_arity(*g)?;
+                    let cp = self.domain.project(&table, cols);
                     let r = self.demand(*g, cp, Some(key));
-                    table = self.domain.constrain_relation(&table, &positions, &r);
+                    table = self.domain.constrain_relation(&table, cols, &r);
                 }
             }
             if self.domain.is_empty(&table) {
-                return Ok(self.domain.bottom(clause.head_vars.len()));
+                return Ok(self.domain.bottom(clause.arity));
             }
-            // Narrow to live variables: head vars plus those used later.
-            let keep: Vec<usize> = active
-                .iter()
-                .copied()
-                .filter(|v| head_set.contains(v) || clause.last_use[*v] > i)
-                .collect();
-            if keep.len() != active.len() {
-                let positions: Vec<usize> = keep
-                    .iter()
-                    .map(|v| active.iter().position(|a| a == v).expect("active var"))
-                    .collect();
-                table = self.domain.project(&table, &positions);
-                active = keep;
+            if step.dropped != 0 {
+                let mut kept = !step.dropped & (u32::MAX >> (32 - step.width));
+                let mut keep = [0usize; MAX_VARS];
+                let keep = &mut keep[..kept.count_ones() as usize];
+                for c in keep.iter_mut() {
+                    *c = kept.trailing_zeros() as usize;
+                    kept &= kept - 1;
+                }
+                table = self.domain.project(&table, keep);
             }
         }
-        let head_positions: Vec<usize> = clause
-            .head_vars
-            .iter()
-            .map(|v| active.iter().position(|a| a == v).expect("head var live"))
-            .collect();
-        Ok(self.domain.project(&table, &head_positions))
+        Ok(self.domain.project(&table, &clause.head_cols))
     }
 }
 
@@ -410,9 +440,9 @@ impl DirectAnalyzer {
         &self,
         domain: D,
         program: &Program,
-    ) -> Result<(Solver<D>, crate::groundness::PredSet), AnalysisError> {
+    ) -> Result<(Solver<D>, Clauses, crate::groundness::PredSet), AnalysisError> {
         let (rules, preds) = transform_program(program, IffMode::Builtin)?;
-        let mut clauses: HashMap<Functor, Vec<AbsClause>> = HashMap::new();
+        let mut clauses = Clauses::new();
         for r in &rules {
             let f = r.head.functor().expect("abstract heads are callable");
             clauses.entry(f).or_default().push(lower_clause(r)?);
@@ -420,7 +450,6 @@ impl DirectAnalyzer {
         Ok((
             Solver {
                 domain,
-                clauses,
                 results: HashMap::new(),
                 deps: HashMap::new(),
                 queue: VecDeque::new(),
@@ -428,6 +457,7 @@ impl DirectAnalyzer {
                 iterations: 0,
                 profile: self.profile.then(BTreeMap::new),
             },
+            clauses,
             preds,
         ))
     }
@@ -461,31 +491,24 @@ impl DirectAnalyzer {
     ) -> Result<DirectExplanation, AnalysisError> {
         let e = EntryPoint::parse(goal)?;
         let arity = e.ground_args.len();
-        let f = gp(tablog_term::intern(&e.name), arity);
-        let (mut solver, preds) = self.build_solver(domain, program)?;
+        let (mut solver, abs_clauses, preds) = self.build_solver(domain, program)?;
         if !preds.contains_key(&(tablog_term::intern(&e.name), arity)) {
             return Err(AnalysisError::Unsupported(format!(
                 "unknown predicate {}/{arity} in goal {goal}",
                 e.name
             )));
         }
-        let mut cp = solver.domain.top(arity);
-        for (i, &g) in e.ground_args.iter().enumerate() {
-            if g {
-                cp = solver.domain.constrain_value(&cp, i, true);
-            }
-        }
-        solver.demand(f, cp.clone(), None);
-        solver.run()?;
-        let key = (f, cp);
+        let key = solver.entry_key(&e)?;
+        solver.demand(key.0, key.1.clone(), None);
+        solver.run(&abs_clauses)?;
         let fix = solver.results.get(&key).cloned();
         let rows = match fix {
             Some(v) => solver.domain.to_table(&v).rows(),
             None => Vec::new(),
         };
-        let abs_clauses = solver.clauses.get(&f).cloned().unwrap_or_default();
         let mut clauses = Vec::new();
-        for (ci, clause) in abs_clauses.iter().enumerate() {
+        let own = abs_clauses.get(&key.0).map_or(&[][..], Vec::as_slice);
+        for (ci, clause) in own.iter().enumerate() {
             let t = solver.eval_clause(clause, &key.1, &key)?;
             clauses.push(DirectClauseSupport {
                 clause_index: ci,
@@ -528,7 +551,7 @@ impl DirectAnalyzer {
         if let Some((rec, em)) = spans.as_mut() {
             em.enter(rec, "preprocess", None);
         }
-        let (mut solver, preds) = self.build_solver(domain, program)?;
+        let (mut solver, clauses, preds) = self.build_solver(domain, program)?;
         if let Some((rec, em)) = spans.as_mut() {
             em.exit(rec);
             em.enter(rec, "analysis", None);
@@ -539,23 +562,17 @@ impl DirectAnalyzer {
         if entries.is_empty() {
             for &(name, arity) in preds.keys() {
                 let f = gp(name, arity);
+                check_arity(f)?;
                 let top = solver.domain.top(arity);
                 solver.demand(f, top, None);
             }
         } else {
             for e in entries {
-                let arity = e.ground_args.len();
-                let f = gp(tablog_term::intern(&e.name), arity);
-                let mut cp = solver.domain.top(arity);
-                for (i, &g) in e.ground_args.iter().enumerate() {
-                    if g {
-                        cp = solver.domain.constrain_value(&cp, i, true);
-                    }
-                }
+                let (f, cp) = solver.entry_key(e)?;
                 solver.demand(f, cp, None);
             }
         }
-        solver.run()?;
+        solver.run(&clauses)?;
         if let Some((rec, em)) = spans.as_mut() {
             em.exit(rec);
             em.enter(rec, "collection", None);
@@ -694,25 +711,58 @@ fn lower_clause(r: &tablog_magic::Rule) -> Result<AbsClause, AnalysisError> {
             )));
         }
     }
-    let mut last_use = vec![0usize; ids.len()];
+    Ok(compile(&head_vars, &goals, ids.len()))
+}
+
+/// Compiles a lowered clause into its schedule. This replays the column
+/// bookkeeping an evaluation would do — append each goal's unseen
+/// variables, then drop the columns that are neither head variables nor
+/// used by a later goal — and records the positions it finds.
+fn compile(head_vars: &[usize], goals: &[AbsGoal], nvars: usize) -> AbsClause {
+    let mut last_use = vec![0usize; nvars];
     for (i, g) in goals.iter().enumerate() {
-        let mentioned: Vec<usize> = match g {
-            AbsGoal::Iff(x, ys) => {
-                let mut m = vec![*x];
-                m.extend_from_slice(ys);
-                m
-            }
-            AbsGoal::Call(_, args) => args.clone(),
-        };
-        for v in mentioned {
+        for v in g.vars() {
             last_use[v] = i;
         }
     }
-    Ok(AbsClause {
-        head_vars,
-        goals,
-        last_use,
-    })
+    let col = |active: &[usize], v: usize| -> usize {
+        active.iter().position(|&a| a == v).expect("active var")
+    };
+    let mut active = head_vars.to_vec();
+    let mut steps = Vec::with_capacity(goals.len());
+    for (i, goal) in goals.iter().enumerate() {
+        let before = active.len();
+        for v in goal.vars() {
+            if !active.contains(&v) {
+                active.push(v);
+            }
+        }
+        let goal_cols = match goal {
+            AbsGoal::Iff(x, ys) => StepGoal::Iff(
+                col(&active, *x),
+                ys.iter().map(|&y| col(&active, y)).collect(),
+            ),
+            AbsGoal::Call(g, args) => {
+                StepGoal::Call(*g, args.iter().map(|&a| col(&active, a)).collect())
+            }
+        };
+        let is_live = |v: usize| head_vars.contains(&v) || last_use[v] > i;
+        let dropped = (0..active.len().min(MAX_VARS))
+            .filter(|&c| !is_live(active[c]))
+            .fold(0, |m, c| m | 1 << c);
+        steps.push(Step {
+            goal: goal_cols,
+            extend: (active.len() - before) as u32,
+            width: active.len() as u32,
+            dropped,
+        });
+        active.retain(|&v| is_live(v));
+    }
+    AbsClause {
+        arity: head_vars.len(),
+        steps,
+        head_cols: head_vars.iter().map(|&v| col(&active, v)).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -884,6 +934,39 @@ mod tests {
         assert_eq!(t.clauses.len(), b.clauses.len());
         for (tc, bc) in t.clauses.iter().zip(&b.clauses) {
             assert_eq!((tc.clause_index, &tc.rows), (bc.clause_index, &bc.rows));
+        }
+    }
+
+    #[test]
+    fn wide_predicates_are_unsupported_on_both_backends() {
+        let vars: Vec<String> = (0..27).map(|i| format!("X{i}")).collect();
+        let src = format!(
+            "r(X) :- p({}).\np({}) :- q(X0).\nq(a).\n",
+            vec!["X"; 27].join(", "),
+            vars.join(", ")
+        );
+        let program = parse_program(&src).unwrap();
+        let wide_entry = EntryPoint::new("p", &[false; 27]);
+        for domain in DomainKind::ALL {
+            let an = DirectAnalyzer {
+                domain,
+                ..DirectAnalyzer::new()
+            };
+            let cases = [
+                an.analyze_program(&program),
+                an.analyze_with_entries(&program, std::slice::from_ref(&wide_entry)),
+                an.analyze_with_entries(&program, &[EntryPoint::new("r", &[false])]),
+            ];
+            for result in cases {
+                assert!(
+                    matches!(result, Err(AnalysisError::Unsupported(_))),
+                    "{domain}: {result:?}"
+                );
+            }
+            assert!(matches!(
+                an.explain(&program, &format!("p({})", vec!["f"; 27].join(", "))),
+                Err(AnalysisError::Unsupported(_))
+            ));
         }
     }
 

@@ -15,7 +15,7 @@ use crate::error::AnalysisError;
 use crate::explain::AnalysisExplanation;
 use crate::pipeline::{PhaseTimings, Timer};
 use crate::prop::PropTable;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use tablog_domain::{value_from_partial_rows, AbstractDomain, BddDomain, DomainKind, TableDomain};
 use tablog_engine::{Database, Engine, EngineOptions, LoadMode, TableStats};
 use tablog_magic::Rule;
@@ -342,17 +342,15 @@ impl GroundnessAnalyzer {
         for (&(name, arity), _) in preds.iter() {
             let f = gp_functor(name, arity);
             let views = eval.subgoals_of(f);
-            let mut success_rows: Vec<Vec<Option<bool>>> = Vec::new();
+            let mut success_rows = UniqueRows::default();
             let mut call_patterns = Vec::new();
             for v in &views {
                 call_patterns.push(tuple_to_row(&v.call_args()));
                 for t in v.answer_tuples() {
-                    let row = tuple_to_row(&t);
-                    if !success_rows.contains(&row) {
-                        success_rows.push(row);
-                    }
+                    success_rows.push(tuple_to_row(&t));
                 }
             }
+            let success_rows = success_rows.rows;
             let definitely_ground = (0..arity)
                 .map(|i| {
                     !success_rows.is_empty() && success_rows.iter().all(|r| r[i] == Some(true))
@@ -450,6 +448,34 @@ fn tuple_to_row(args: &[Term]) -> Vec<Option<bool>> {
             _ => None,
         })
         .collect()
+}
+
+/// Rows without duplicates, in first-seen order. A few rows are checked by
+/// scanning, which allocates nothing; past [`UniqueRows::SCAN`] rows a hash
+/// index takes over, so collecting `n` rows costs O(n), not O(n²).
+#[derive(Default)]
+struct UniqueRows {
+    rows: Vec<Vec<Option<bool>>>,
+    index: HashSet<Vec<Option<bool>>>,
+}
+
+impl UniqueRows {
+    const SCAN: usize = 16;
+
+    fn push(&mut self, row: Vec<Option<bool>>) {
+        if self.rows.len() < Self::SCAN {
+            if !self.rows.contains(&row) {
+                self.rows.push(row);
+            }
+            return;
+        }
+        if self.index.is_empty() {
+            self.index.extend(self.rows.iter().cloned());
+        }
+        if self.index.insert(row.clone()) {
+            self.rows.push(row);
+        }
+    }
 }
 
 /// Builds the output-groundness formula from the table's partial success

@@ -9,11 +9,120 @@
 //! biconditional constraints `x ⇔ y1 ∧ … ∧ yk`, existential projection and
 //! permutation — plus conversions to rows and to BDDs for cross-checking
 //! the two representations.
+//!
+//! Every kernel works on whole 64-row words. Row `r` is bit `r % 64` of
+//! word `r / 64`, so a variable `v < 6` picks the same bit pattern out of
+//! every word (`0xAAAA…`, `0xCCCC…`, …) and a variable `v ≥ 6` picks
+//! whole words (word `w` is all-true iff bit `v − 6` of `w` is set).
+//! Constraints are then one mask operation per word; quantification is
+//! shift-and-OR inside a word or OR across word pairs; projection and
+//! relation embedding visit only the set rows, mapping each through lookup
+//! tables. Tables under six variables keep the bits above row `2^nvars`
+//! zero, since `Eq`/`Hash` are over the raw words.
 
 use tablog_bdd::{Bdd, BddManager};
 
 /// Maximum variable count; `2^MAX_VARS` bits is the table size.
 pub const MAX_VARS: usize = 26;
+
+/// The rows of any 64-row word where variable `v < 6` is true.
+const LOW_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The rows where every one of a set of variables is true, word by word:
+/// the in-word variables fix a bit pattern, and the others select the
+/// words whose index has all of their bits set.
+struct Conj {
+    low: u64,
+    high: usize,
+}
+
+impl Conj {
+    fn of(vars: &[usize]) -> Self {
+        let mut c = Conj {
+            low: u64::MAX,
+            high: 0,
+        };
+        for &v in vars {
+            if v < 6 {
+                c.low &= LOW_MASKS[v];
+            } else {
+                c.high |= 1 << (v - 6);
+            }
+        }
+        c
+    }
+
+    /// The rows of word `w` where the conjunction holds.
+    fn word(&self, w: usize) -> u64 {
+        if w & self.high == self.high {
+            self.low
+        } else {
+            0
+        }
+    }
+}
+
+/// Bytes of a word index: `MAX_VARS − 6` bits.
+const WORD_INDEX_BYTES: usize = (MAX_VARS - 6).div_ceil(8);
+
+/// Maps a row of a multi-word table to its index in a `cols.len()`-variable
+/// table, where bit `j` of the index is bit `cols[j]` of the row. Repeated
+/// and permuted columns need no special case: each entry ORs together the
+/// output bits of every column that reads the input bit.
+struct Gather {
+    /// By the row's position within its word (variables 0–5).
+    low: [u32; 64],
+    /// By each byte of the row's word index (variables 6 and up).
+    high: [[u32; 256]; WORD_INDEX_BYTES],
+}
+
+impl Gather {
+    fn new(nvars: usize, cols: &[usize]) -> Self {
+        let mut g = Gather {
+            low: [0; 64],
+            high: [[0; 256]; WORD_INDEX_BYTES],
+        };
+        fill_byte_table(&mut g.low, cols, 0, nvars.min(6));
+        for (p, table) in g.high.iter_mut().enumerate() {
+            let first = 6 + 8 * p;
+            if first >= nvars {
+                break;
+            }
+            fill_byte_table(table, cols, first, (nvars - first).min(8));
+        }
+        g
+    }
+
+    /// The index bits contributed by word `w`'s variables.
+    fn word(&self, w: usize) -> u32 {
+        self.high
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (p, table)| acc | table[(w >> (8 * p)) & 0xFF])
+    }
+}
+
+/// Fills `table[b]` for every `b < 2^width` with the output bits of the
+/// columns reading input variables `first..first + width`, where bit `i`
+/// of `b` is variable `first + i`.
+fn fill_byte_table(table: &mut [u32], cols: &[usize], first: usize, width: usize) {
+    let mut single = [0u32; 8];
+    for (j, &c) in cols.iter().enumerate() {
+        if (first..first + width).contains(&c) {
+            single[c - first] |= 1 << j;
+        }
+    }
+    for b in 1..1usize << width {
+        table[b] = table[b & (b - 1)] | single[b.trailing_zeros() as usize];
+    }
+}
 
 /// A boolean function over `nvars` variables, represented by its truth
 /// table (success set).
@@ -74,12 +183,63 @@ impl PropTable {
         self.nvars
     }
 
+    /// The raw truth-table words: row `r` is bit `r % 64` of word
+    /// `r / 64`, and the bits above row `2^nvars` are zero.
+    pub fn as_words(&self) -> &[u64] {
+        &self.bits
+    }
+
     fn get(&self, row: usize) -> bool {
         self.bits[row / 64] & (1 << (row % 64)) != 0
     }
 
     fn set(&mut self, row: usize) {
         self.bits[row / 64] |= 1 << (row % 64);
+    }
+
+    /// A table over the same variables whose word `w` is `f(w, bits[w])`.
+    fn map_words(&self, f: impl Fn(usize, u64) -> u64) -> PropTable {
+        PropTable {
+            nvars: self.nvars,
+            bits: self
+                .bits
+                .iter()
+                .enumerate()
+                .map(|(w, &b)| f(w, b))
+                .collect(),
+        }
+    }
+
+    /// Calls `f(row, idx)` for every satisfying row in ascending order,
+    /// where bit `j` of `idx` is bit `cols[j]` of `row`.
+    fn for_each_gathered(&self, cols: &[usize], mut f: impl FnMut(usize, usize)) {
+        if let [word] = self.bits[..] {
+            // One word: too few rows to pay for the lookup tables.
+            let mut b = word;
+            while b != 0 {
+                let r = b.trailing_zeros() as usize;
+                let idx = cols
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (j, &c)| acc | ((r >> c) & 1) << j);
+                f(r, idx);
+                b &= b - 1;
+            }
+            return;
+        }
+        let g = Gather::new(self.nvars, cols);
+        for (w, &word) in self.bits.iter().enumerate() {
+            if word == 0 {
+                continue;
+            }
+            let high = g.word(w);
+            let mut b = word;
+            while b != 0 {
+                let t = b.trailing_zeros() as usize;
+                f(64 * w + t, (g.low[t] | high) as usize);
+                b &= b - 1;
+            }
+        }
     }
 
     /// Number of satisfying rows.
@@ -92,12 +252,19 @@ impl PropTable {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// The satisfying rows, each as a `Vec<bool>` of length `nvars`.
+    /// The satisfying rows in ascending order, each as a `Vec<bool>` of
+    /// length `nvars`.
     pub fn rows(&self) -> Vec<Vec<bool>> {
-        (0..(1usize << self.nvars))
-            .filter(|&r| self.get(r))
-            .map(|r| (0..self.nvars).map(|i| r & (1 << i) != 0).collect())
-            .collect()
+        let mut out = Vec::with_capacity(self.count());
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut b = word;
+            while b != 0 {
+                let r = 64 * w + b.trailing_zeros() as usize;
+                out.push((0..self.nvars).map(|i| r & (1 << i) != 0).collect());
+                b &= b - 1;
+            }
+        }
+        out
     }
 
     /// Pointwise conjunction (set intersection).
@@ -139,59 +306,46 @@ impl PropTable {
     /// Keeps only rows satisfying `x ⇔ y1 ∧ … ∧ yk` — the constraint the
     /// paper writes `iff(X, Y1, …, Yk)`.
     pub fn constrain_iff(&self, x: usize, ys: &[usize]) -> PropTable {
-        let mut out = PropTable::bottom(self.nvars);
-        for r in 0..(1usize << self.nvars) {
-            if !self.get(r) {
-                continue;
-            }
-            let and = ys.iter().all(|&y| r & (1 << y) != 0);
-            if (r & (1 << x) != 0) == and {
-                out.set(r);
-            }
-        }
-        out
+        let (x, and) = (Conj::of(&[x]), Conj::of(ys));
+        self.map_words(|w, b| b & !(x.word(w) ^ and.word(w)))
     }
 
     /// Keeps only rows where variable `v` has the given value.
     pub fn constrain_value(&self, v: usize, value: bool) -> PropTable {
-        let mut out = PropTable::bottom(self.nvars);
-        for r in 0..(1usize << self.nvars) {
-            if self.get(r) && ((r & (1 << v) != 0) == value) {
-                out.set(r);
-            }
-        }
-        out
+        let v = Conj::of(&[v]);
+        self.map_words(|w, b| if value { b & v.word(w) } else { b & !v.word(w) })
     }
 
     /// Existentially quantifies variable `v`: the result no longer depends
     /// on `v` (both values allowed whenever either was).
     pub fn exists(&self, v: usize) -> PropTable {
-        let mut out = PropTable::bottom(self.nvars);
-        for r in 0..(1usize << self.nvars) {
-            if self.get(r) {
-                out.set(r | (1 << v));
-                out.set(r & !(1 << v));
+        debug_assert!(v < self.nvars, "exists over a variable out of range");
+        let mut bits = self.bits.clone();
+        if v < 6 {
+            let (m, s) = (LOW_MASKS[v], 1 << v);
+            for b in &mut bits {
+                let (hi, lo) = (*b & m, *b & !m);
+                *b = hi | lo | hi >> s | lo << s;
+            }
+        } else {
+            let stride = 1 << (v - 6);
+            for w in (0..bits.len()).filter(|w| w & stride == 0) {
+                let both = bits[w] | bits[w + stride];
+                bits[w] = both;
+                bits[w + stride] = both;
             }
         }
-        out
+        PropTable {
+            nvars: self.nvars,
+            bits,
+        }
     }
 
     /// Projects onto `keep` (in the given order): existentially quantifies
     /// everything else and renumbers; the result has `keep.len()` variables.
     pub fn project(&self, keep: &[usize]) -> PropTable {
         let mut out = PropTable::bottom(keep.len());
-        for r in 0..(1usize << self.nvars) {
-            if !self.get(r) {
-                continue;
-            }
-            let mut idx = 0usize;
-            for (new, &old) in keep.iter().enumerate() {
-                if r & (1 << old) != 0 {
-                    idx |= 1 << new;
-                }
-            }
-            out.set(idx);
-        }
+        self.for_each_gathered(keep, |_, idx| out.set(idx));
         out
     }
 
@@ -199,13 +353,21 @@ impl PropTable {
     pub fn extend(&self, extra: usize) -> PropTable {
         let n = self.nvars + extra;
         assert!(n <= MAX_VARS, "PropTable over {n} variables");
-        let mut out = PropTable::bottom(n);
-        for r in 0..(1usize << n) {
-            if self.get(r & ((1 << self.nvars) - 1)) {
-                out.set(r);
+        let bits = if self.nvars < 6 {
+            // Replicate the rows inside the word until it is full (or the
+            // table is), then every word is that one.
+            let mut word = self.bits[0];
+            let full = (1usize << n).min(64);
+            let mut width = 1usize << self.nvars;
+            while width < full {
+                word |= word << width;
+                width *= 2;
             }
-        }
-        out
+            vec![word; words(n)]
+        } else {
+            self.bits.repeat(1 << extra)
+        };
+        PropTable { nvars: n, bits }
     }
 
     /// Keeps only rows whose projection onto `positions` (in order) is a
@@ -218,27 +380,24 @@ impl PropTable {
             "position/relation arity mismatch"
         );
         let mut out = PropTable::bottom(self.nvars);
-        for r in 0..(1usize << self.nvars) {
-            if !self.get(r) {
-                continue;
-            }
-            let mut idx = 0usize;
-            for (new, &old) in positions.iter().enumerate() {
-                if r & (1 << old) != 0 {
-                    idx |= 1 << new;
-                }
-            }
+        self.for_each_gathered(positions, |r, idx| {
             if rel.get(idx) {
                 out.set(r);
             }
-        }
+        });
         out
     }
 
     /// `true` if variable `v` is true in every satisfying row *and* the
     /// table is non-empty — "definitely ground" in the Prop reading.
     pub fn definitely(&self, v: usize) -> bool {
-        !self.is_empty() && (0..(1usize << self.nvars)).all(|r| !self.get(r) || r & (1 << v) != 0)
+        let v = Conj::of(&[v]);
+        !self.is_empty()
+            && self
+                .bits
+                .iter()
+                .enumerate()
+                .all(|(w, &b)| b & !v.word(w) == 0)
     }
 
     /// `true` if `self`'s success set is contained in `other`'s.

@@ -14,7 +14,7 @@ use tablog_domain::{AbstractDomain, BddDomain, TableDomain};
 
 /// Width ceiling: wide enough to exercise shape changes, small enough that
 /// the enumerative side stays O(2^n)-cheap.
-const MAX_NVARS: usize = 7;
+const MAX_NVARS: usize = 10;
 
 /// One abstract-domain operation, with index/row seeds normalised later.
 #[derive(Clone, Debug)]
@@ -49,7 +49,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         prop::collection::vec(0u32..u32::MAX, 0..6).prop_map(|rows| Op::MeetRows { rows }),
         prop::collection::vec(0u32..u32::MAX, 0..6).prop_map(|rows| Op::JoinRows { rows }),
         Just(Op::Extend),
-        prop::collection::vec(0usize..16, 1..6).prop_map(|keep| Op::Project { keep }),
+        prop::collection::vec(0usize..16, 1..MAX_NVARS + 1).prop_map(|keep| Op::Project { keep }),
         (
             prop::collection::vec(0usize..16, 1..4),
             prop::collection::vec(0u32..u32::MAX, 0..6)

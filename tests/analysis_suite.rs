@@ -71,6 +71,23 @@ fn goal_directed_tabled_and_direct_agree() {
     }
 }
 
+/// Open calls on a wide predicate table one answer row per assignment of
+/// the free arguments; collection must keep each row once, and fast.
+#[test]
+fn wide_open_call_collects_every_answer_row_once() {
+    let vars: Vec<String> = (0..12).map(|i| format!("X{i}")).collect();
+    let src = format!("p({}) :- q(X0).\nq(a).\n", vars.join(", "));
+    let report = GroundnessAnalyzer::new().analyze_source(&src).unwrap();
+    let p = report.output_groundness("p", 12).unwrap();
+    assert_eq!(p.success_rows.len(), 2048);
+    let unique: std::collections::HashSet<_> = p.success_rows.iter().collect();
+    assert_eq!(unique.len(), 2048);
+    let mut ground = vec![false; 12];
+    ground[0] = true;
+    assert_eq!(p.definitely_ground, ground);
+    assert_eq!(p.prop.count(), 2048);
+}
+
 #[test]
 fn iff_fact_mode_matches_builtin_mode_on_suite() {
     for b in logic_benchmarks() {

@@ -1271,3 +1271,31 @@ fn cyclic_binding_is_a_typed_error_not_an_abort() {
         );
     }
 }
+
+#[test]
+fn direct_rejects_wide_predicates_under_both_backends() {
+    let vars: Vec<String> = (0..27).map(|i| format!("X{i}")).collect();
+    let f = temp_file(
+        "wide.pl",
+        &format!("p({}) :- q(X0).\nq(a).\n", vars.join(",")),
+    );
+    for domain in ["table", "bdd"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tablog"))
+            .args([
+                "ground",
+                f.to_str().unwrap(),
+                "--direct",
+                "--domain",
+                domain,
+            ])
+            .output()
+            .expect("spawn tablog");
+        let err = String::from_utf8_lossy(&out.stderr);
+        // Exit code 1 is the CLI's error path; a panic exits with 101.
+        assert_eq!(out.status.code(), Some(1), "{domain}: {err}");
+        assert!(
+            err.contains("unsupported: predicate p/27 needs more than 26 Prop variables"),
+            "{domain}: {err}"
+        );
+    }
+}
