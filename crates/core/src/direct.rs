@@ -16,7 +16,7 @@
 //! backend with [`DirectAnalyzer::domain`].
 
 use crate::error::AnalysisError;
-use crate::groundness::{transform_program, EntryPoint, IffMode, GP_PREFIX};
+use crate::groundness::{check_arity, transform_program, EntryPoint, IffMode, GP_PREFIX};
 use crate::pipeline::{PhaseTimings, Timer};
 use crate::prop::{PropTable, MAX_VARS};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -231,20 +231,6 @@ impl DirectExplanation {
 }
 
 type Key<D> = (Functor, <D as AbstractDomain>::Value);
-
-/// Rejects a predicate wider than the truth-table cap. The cap holds for
-/// both backends (BDDs could go wider) so they accept the same programs.
-fn check_arity(f: Functor) -> Result<(), AnalysisError> {
-    if f.arity > MAX_VARS {
-        let name = sym_name(f.name);
-        return Err(AnalysisError::Unsupported(format!(
-            "predicate {}/{} needs more than {MAX_VARS} Prop variables",
-            name.strip_prefix(GP_PREFIX).unwrap_or(&name),
-            f.arity
-        )));
-    }
-    Ok(())
-}
 
 /// The worklist fixpoint solver, generic over the Prop-domain backend.
 /// `(predicate, call pattern)` pairs key the result table; since every

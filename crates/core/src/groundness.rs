@@ -14,7 +14,7 @@
 use crate::error::AnalysisError;
 use crate::explain::AnalysisExplanation;
 use crate::pipeline::{PhaseTimings, Timer};
-use crate::prop::PropTable;
+use crate::prop::{PropTable, MAX_VARS};
 use std::collections::{BTreeMap, HashSet};
 use tablog_domain::{value_from_partial_rows, AbstractDomain, BddDomain, DomainKind, TableDomain};
 use tablog_engine::{Database, Engine, EngineOptions, LoadMode, TableStats};
@@ -133,10 +133,6 @@ pub struct GroundnessReport {
     /// [`profile`](GroundnessAnalyzer::profile) flag was set. Predicate
     /// keys are the abstract program's (`gp$p/n`, `$ga/0`).
     pub metrics: Option<MetricsReport>,
-    /// Per-worker load and message-flow attribution, `Some` exactly when
-    /// the analysis ran under the parallel scheduler (see
-    /// [`tablog_engine::ParallelReport`]).
-    pub parallel: Option<tablog_engine::ParallelReport>,
 }
 
 impl GroundnessReport {
@@ -220,12 +216,19 @@ impl GroundnessAnalyzer {
     /// declarations, and the `$ga` driver clauses (one per analyzed call
     /// pattern). Shared by [`analyze`](GroundnessAnalyzer::analyze_program)
     /// and [`explain`](GroundnessAnalyzer::explain).
+    ///
+    /// Every predicate must fit the truth-table cap, the same bound the
+    /// direct analyzer enforces: the `iff` head constraints of a wider
+    /// clause enumerate 2^arity rows before the body constrains anything.
     fn load_abstract(
         &self,
         program: &Program,
         entries: &[EntryPoint],
     ) -> Result<(Database, PredSet), AnalysisError> {
         let (rules, preds) = transform_program(program, self.iff_mode)?;
+        for &(name, arity) in preds.keys() {
+            check_arity(Functor { name, arity })?;
+        }
         let mut db = Database::new(self.load_mode);
         for r in &rules {
             db.assert_clause(r.head.clone(), r.body.clone())?;
@@ -403,9 +406,23 @@ impl GroundnessAnalyzer {
             domain_bytes: domain_stats.bytes,
             bdd_nodes: domain_stats.nodes,
             metrics,
-            parallel: eval.parallel_report().cloned(),
         })
     }
+}
+
+/// Rejects a predicate wider than the truth-table cap, by source or
+/// abstract (`gp$`) functor. The cap holds for both backends (BDDs could
+/// go wider) so they accept the same programs.
+pub(crate) fn check_arity(f: Functor) -> Result<(), AnalysisError> {
+    if f.arity > MAX_VARS {
+        let name = sym_name(f.name);
+        return Err(AnalysisError::Unsupported(format!(
+            "predicate {}/{} needs more than {MAX_VARS} Prop variables",
+            name.strip_prefix(GP_PREFIX).unwrap_or(&name),
+            f.arity
+        )));
+    }
+    Ok(())
 }
 
 /// Measures the plain "compile time" baseline of the paper's tables:
@@ -490,10 +507,6 @@ fn rows_to_prop(
     arity: usize,
     rows: &[Vec<Option<bool>>],
 ) -> PropTable {
-    if arity > crate::prop::MAX_VARS {
-        // Arity beyond truth-table capacity: report the empty formula.
-        return PropTable::bottom(crate::prop::MAX_VARS);
-    }
     match domain {
         DomainKind::Table => value_from_partial_rows(table_backend, arity, rows),
         DomainKind::Bdd => {
@@ -964,6 +977,37 @@ mod tests {
         let report = GroundnessAnalyzer::new().analyze_source(APPEND).unwrap();
         assert!(report.table_bytes() > 0);
         assert!(report.timings.total() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn wide_predicates_are_a_typed_error_on_both_backends() {
+        let vars: Vec<String> = (0..27).map(|i| format!("X{i}")).collect();
+        let src = format!("p({}) :- q(X0).\nq(a).\n", vars.join(", "));
+        let program = parse_program(&src).unwrap();
+        let want = "predicate p/27 needs more than 26 Prop variables";
+        for domain in DomainKind::ALL {
+            let mut an = GroundnessAnalyzer::new();
+            an.options.domain = domain;
+            let start = std::time::Instant::now();
+            let cases = [
+                an.analyze_program(&program).map(|_| ()),
+                an.analyze_with_entries(&program, &[EntryPoint::new("p", &[true; 27])])
+                    .map(|_| ()),
+                an.explain(&program, &format!("p({})", vec!["f"; 27].join(", ")), 4)
+                    .map(|_| ()),
+            ];
+            for result in cases {
+                assert!(
+                    matches!(&result, Err(AnalysisError::Unsupported(m)) if m == want),
+                    "{domain}: {result:?}"
+                );
+            }
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(5),
+                "{domain}: took {:?}",
+                start.elapsed()
+            );
+        }
     }
 
     #[test]

@@ -579,13 +579,25 @@ impl AbstractDomain for BddDomain {
 /// pins a variable, `None` leaves it unconstrained. One row becomes one
 /// cube; the value is their disjunction. Shared by both analyzers'
 /// collection phases so the backends see identical inputs.
+///
+/// Fully bound rows are single points and all go through one
+/// [`AbstractDomain::lift_rows`] call; only a row with a free argument
+/// pays for a full-width cube and a join.
 pub fn value_from_partial_rows<D: AbstractDomain>(
     d: &mut D,
     nvars: usize,
     rows: &[Vec<Option<bool>>],
 ) -> D::Value {
-    let mut acc = d.bottom(nvars);
+    let mut points = Vec::new();
+    let mut partial = Vec::new();
     for row in rows {
+        match row.iter().copied().collect::<Option<Vec<bool>>>() {
+            Some(point) => points.push(point),
+            None => partial.push(row),
+        }
+    }
+    let mut acc = d.lift_rows(nvars, &points);
+    for row in partial {
         let mut cube = d.top(nvars);
         for (i, val) in row.iter().enumerate() {
             if let Some(b) = val {
@@ -762,6 +774,44 @@ mod tests {
         let b = bd.to_table(&bv);
         assert_eq!(t, b);
         assert_eq!(t.count(), 3); // gng, ggn (free middle) + ggg
+
+        // Bound and partial rows mixed, with overlaps and a duplicate: the
+        // bound rows' points and the partial rows' cubes must union to
+        // the same value as one cube per row.
+        let mixed = vec![
+            vec![Some(false), Some(false), Some(false), Some(true)],
+            vec![None, Some(true), None, Some(false)],
+            vec![Some(true), Some(true), Some(false), Some(false)],
+            vec![Some(false), None, None, None],
+            vec![Some(true), Some(false), Some(true), Some(true)],
+            vec![Some(false), Some(false), Some(false), Some(true)],
+        ];
+        let mut cubes = td.bottom(4);
+        for row in &mixed {
+            let mut cube = td.top(4);
+            for (i, v) in row.iter().enumerate() {
+                if let Some(b) = v {
+                    cube = td.constrain_value(&cube, i, *b);
+                }
+            }
+            cubes = td.join(&cubes, &cube);
+        }
+        let t = value_from_partial_rows(&mut td, 4, &mixed);
+        let bv = value_from_partial_rows(&mut bd, 4, &mixed);
+        assert_eq!(t, cubes);
+        assert_eq!(bd.to_table(&bv), cubes);
+        // The 8 points of `n???`, `gggn` and `ggnn` from the `?g?n` cube,
+        // and `gngg`.
+        assert_eq!(t.count(), 11);
+        // Only bound rows, and no rows at all.
+        let points = &mixed[2..3];
+        let t = value_from_partial_rows(&mut td, 4, points);
+        assert_eq!(t.count(), 1);
+        let bv = value_from_partial_rows(&mut bd, 4, points);
+        assert_eq!(bd.to_table(&bv), t);
+        assert!(value_from_partial_rows(&mut td, 4, &[]).is_empty());
+        let none = value_from_partial_rows(&mut bd, 4, &[]);
+        assert!(bd.is_empty(&none));
     }
 
     #[test]

@@ -7,52 +7,23 @@ use crate::error::EngineError;
 use crate::machine::{Machine, Task};
 use crate::provenance::{AnswerRef, NodeProv};
 use crate::table::NODE_OVERHEAD;
-use tablog_term::{Bindings, CanonicalTerm, Term, TermId, Val};
+use tablog_term::{Bindings, CanonicalTerm, Term, Val};
 use tablog_trace::TraceEvent;
 
 impl Machine<'_> {
+    /// Resumes consumer `cid`, suspended on its selected goal, with answer
+    /// `aidx` of the table it watches: the goal's argument ids are unified
+    /// with the answer's member ids (the answer read in a frame after the
+    /// node's) and the continuation is scheduled.
     pub(crate) fn return_answer(&mut self, cid: usize, aidx: usize) -> Result<(), EngineError> {
         // A consumer is a few ids, so pulling its coordinates out is free —
         // no `Consumer` or answer clone on this path. Only the provenance
         // trail (off by default) is cloned.
-        let (subgoal, root, watched) = {
+        let (sid, root, watched) = {
             let c = &self.consumers[cid];
             (c.node.subgoal as usize, c.node.root, c.watched as usize)
         };
-        let answer = self.subgoals[watched].answers[aidx];
-        self.resume(subgoal, root, answer, |m| {
-            if let Some(sink) = m.trace {
-                sink.event(&TraceEvent::AnswerReturn {
-                    pred: m.subgoals[watched].functor,
-                });
-            }
-            // The continuation consumed answer `aidx` of the watched table:
-            // extend the consumer's trail with that premise.
-            let mut prov = m.consumers[cid].node.prov.clone();
-            if let Some(p) = prov.as_deref_mut() {
-                p.premises.push(AnswerRef {
-                    subgoal: watched,
-                    answer: aidx,
-                });
-            }
-            prov
-        })
-    }
-
-    /// Resumes node `root` of subgoal `sid`, suspended on its selected
-    /// goal, with the answer tuple `ans`: the goal's argument ids are
-    /// unified with the answer's member ids (the answer read in a frame
-    /// after the node's) and the continuation is scheduled. `on_match`
-    /// runs only when they unify and returns the continuation's trail.
-    /// Local answer returns and the parallel driver's remote deliveries
-    /// both resume through here.
-    pub(crate) fn resume(
-        &mut self,
-        sid: usize,
-        root: TermId,
-        ans: CanonicalTerm,
-        on_match: impl FnOnce(&Self) -> Option<Box<NodeProv>>,
-    ) -> Result<(), EngineError> {
+        let ans = self.subgoals[watched].answers[aidx];
         let split = self.subgoals[sid].functor.arity;
         let g = self.arena.members(root)[split];
         let occurs = self.opts.occur_check;
@@ -69,7 +40,20 @@ impl Machine<'_> {
                     .unify(&self.arena, &Val::Id(x, 0), &Val::Id(y, base), occurs)
             });
         let r = if ok {
-            let prov = on_match(self);
+            if let Some(sink) = self.trace {
+                sink.event(&TraceEvent::AnswerReturn {
+                    pred: self.subgoals[watched].functor,
+                });
+            }
+            // The continuation consumed answer `aidx` of the watched table:
+            // extend the consumer's trail with that premise.
+            let mut prov = self.consumers[cid].node.prov.clone();
+            if let Some(p) = prov.as_deref_mut() {
+                p.premises.push(AnswerRef {
+                    subgoal: watched,
+                    answer: aidx,
+                });
+            }
             self.open(&mut st, root, split);
             self.schedule(&mut st, sid, Some(root), prov)
                 .map_err(|_| self.cyclic(g))
@@ -146,27 +130,6 @@ impl Machine<'_> {
                 );
                 self.consumers[cid].next = idx as u32 + 1;
                 self.push(Task::Return(cid, idx));
-            }
-            // Parallel runs: forward exactly this answer to every consumer
-            // registered from another worker. Registration back-fills the
-            // answers known at that moment and insertion forwards from then
-            // on — both happen on this (the owner's) thread, so no answer
-            // is ever sent twice or skipped.
-            if let Some(par) = self.par.as_ref() {
-                if !self.subgoals[sid].remote_consumers.is_empty() {
-                    let args = self.arena.terms(&self.subgoals[sid].answers[idx]);
-                    for &(worker, token) in &self.subgoals[sid].remote_consumers {
-                        par.send(
-                            worker,
-                            crate::parallel::Msg::Answer {
-                                token,
-                                args: args.clone(),
-                                from: par.me,
-                                flow: None,
-                            },
-                        );
-                    }
-                }
             }
         } else {
             self.stats.duplicate_answers += 1;

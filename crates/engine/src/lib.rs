@@ -66,7 +66,6 @@ mod explain;
 mod justify;
 mod machine;
 mod options;
-mod parallel;
 mod provenance;
 mod report;
 mod scheduler;
@@ -86,7 +85,6 @@ pub use error::EngineError;
 pub use explain::Explanation;
 pub use justify::{JustNode, JustStatus};
 pub use options::{EngineOptions, Scheduling, TermHook, Unknown};
-pub use parallel::{MsgEdge, ParallelReport, SccOwner, WorkerLoad};
 pub use provenance::{AnswerProv, AnswerRef, ClauseRef};
 pub use report::{TableReport, TableRow};
 pub use scheduler::{make_scheduler, Batched, BreadthFirst, DepthFirst, Scheduler, TaskClass};

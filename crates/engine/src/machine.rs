@@ -28,7 +28,6 @@ use crate::builtins::lookup_builtin;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::options::{EngineOptions, Unknown};
-use crate::parallel::{Msg, ParCtx};
 use crate::provenance::{ClauseRef, NodeProv};
 use crate::scheduler::{make_scheduler, Scheduler, TaskClass};
 use crate::session::Evaluation;
@@ -116,7 +115,7 @@ pub(crate) struct Machine<'e> {
     pub(crate) subgoals: Vec<SubgoalState>,
     /// Subgoal lookup keyed by the call's arena id: a hash probe on a
     /// 12-byte key with O(1) equality, never a structural term walk.
-    pub(crate) lookup: HashMap<(Functor, TermId), usize>,
+    lookup: HashMap<(Functor, TermId), usize>,
     pub(crate) consumers: Vec<Consumer>,
     /// The worklist, behind the strategy selected by
     /// [`EngineOptions::scheduling`].
@@ -130,7 +129,7 @@ pub(crate) struct Machine<'e> {
     /// split is the subgoal's arity, so it adds nothing to the key).
     /// Membership is checked *before* the scheduler sees the task, so it is
     /// strategy-independent.
-    pub(crate) seen_nodes: HashSet<u64>,
+    seen_nodes: HashSet<u64>,
     pub(crate) stats: TableStats,
     /// Event observer, `None` unless `EngineOptions::trace` is set. Events
     /// are only constructed under `if let Some(..)`, so the disabled path
@@ -142,7 +141,7 @@ pub(crate) struct Machine<'e> {
     pub(crate) spans: Option<SpanEmitter>,
     /// Counter sampling enabled: `EngineOptions::record_counters` *and* a
     /// sink installed. The disabled path is one branch per worklist task.
-    pub(crate) counters_on: bool,
+    counters_on: bool,
     /// Any resource budget set. The only cost budgets add to an unbudgeted
     /// run is this one branch per worklist task.
     budgets_on: bool,
@@ -155,14 +154,6 @@ pub(crate) struct Machine<'e> {
     /// propagated from a negation subcomputation); once set, `drain` stops
     /// scheduling and `run` hands back a truncated evaluation.
     pub(crate) truncated: Option<TruncationReason>,
-    /// Parallel-run context (worker id, shared state, peer channels) when
-    /// this machine is one worker of a [`crate::Scheduling::Parallel`]
-    /// evaluation; `None` for sequential machines and for negation
-    /// sub-machines, which always evaluate locally.
-    pub(crate) par: Option<ParCtx>,
-    /// Consumer nodes waiting on answers from subgoals owned by other
-    /// workers, indexed by the token carried in the remote call message.
-    pub(crate) remote_waits: Vec<(Functor, Node)>,
     /// Periodic health emission state, `Some` only when
     /// `EngineOptions::health` is set *and* a sink is installed.
     health: Option<HealthState>,
@@ -214,8 +205,6 @@ impl<'e> Machine<'e> {
                 .deadline
                 .map(|d| start_ns.saturating_add(d.as_nanos() as u64)),
             truncated: None,
-            par: None,
-            remote_waits: Vec::new(),
             health: health_on.then(|| {
                 let cfg = opts.health.unwrap();
                 HealthState {
@@ -252,14 +241,14 @@ impl<'e> Machine<'e> {
 
     /// Number of leading member terms of `node`'s tuple that form the
     /// answer template: the arity of the subgoal it derives answers for.
-    pub(crate) fn split(&self, node: &Node) -> usize {
+    fn split(&self, node: &Node) -> usize {
         self.subgoals[node.subgoal as usize].functor.arity
     }
 
     /// Emits one counter time-series sample to the trace sink. Only called
     /// from sites gated on `counters_on`, so the disabled path takes no
     /// timestamp and constructs nothing.
-    pub(crate) fn sample_counters(&self) {
+    fn sample_counters(&self) {
         if let Some(sink) = self.trace {
             sink.counter_sample(&CounterSample {
                 t_ns: tablog_trace::now_ns(),
@@ -269,11 +258,6 @@ impl<'e> Machine<'e> {
                 tables: self.subgoals.len(),
                 answers: self.stats.answers,
                 table_bytes: self.stats.table_bytes,
-                msgs_sent: self
-                    .par
-                    .as_ref()
-                    .map_or(0, |p| p.msgs_sent_total() as usize),
-                worker: self.par.as_ref().map(|p| p.me),
             });
         }
     }
@@ -405,13 +389,6 @@ impl<'e> Machine<'e> {
             }
             Task::Return(..) => TaskClass::Return,
         };
-        // Under the parallel driver every enqueued task is one unit of the
-        // run-wide pending-work count (decremented after execution); the
-        // count only covers tasks that actually enter a queue, so the
-        // seen-node drop above must come first.
-        if let Some(par) = &self.par {
-            par.on_enqueue();
-        }
         self.scheduler.push(class, task);
     }
 
@@ -424,7 +401,29 @@ impl<'e> Machine<'e> {
         // A span left open by an `?` early return below is fine: the
         // recorder clamps open spans to the last observed timestamp.
         self.span_enter("evaluate", None);
-        let root = self.seed_root(goals, template, b0);
+        // The synthetic `$query` root subgoal and its root derivation node.
+        let root_f = Functor::new("$query", template.len());
+        let key = self.arena.canonicalize(b0, template);
+        let root = self.subgoals.len();
+        self.stats.subgoals += 1;
+        let state = SubgoalState::new(root_f, key, &self.arena);
+        let bytes = state.table_bytes();
+        self.stats.table_bytes += bytes;
+        if let Some(sink) = self.trace {
+            let call = self.arena.terms(&key);
+            sink.event(&TraceEvent::NewSubgoal {
+                pred: root_f,
+                call: &call,
+                bytes,
+            });
+        }
+        self.subgoals.push(state);
+        let node = Node {
+            subgoal: root as u32,
+            root: self.arena.canonicalize2(b0, template, goals).root_id(),
+            prov: self.fresh_prov(),
+        };
+        self.push(Task::Expand(node));
         self.drain()?;
         if self.truncated.is_some() {
             self.settle()?;
@@ -485,44 +484,14 @@ impl<'e> Machine<'e> {
             scheduler: self.scheduler.name(),
             arena: std::mem::take(&mut self.arena),
             truncation,
-            parallel: None,
         })
-    }
-
-    /// Creates the synthetic `$query` root subgoal and schedules the root
-    /// derivation node. Shared by the sequential [`Machine::run`] prologue
-    /// and the parallel driver's worker 0.
-    pub(crate) fn seed_root(&mut self, goals: &[Term], template: &[Term], b0: &Bindings) -> usize {
-        let root_f = Functor::new("$query", template.len());
-        let key = self.arena.canonicalize(b0, template);
-        let root = self.subgoals.len();
-        self.stats.subgoals += 1;
-        let state = SubgoalState::new(root_f, key, &self.arena);
-        let bytes = state.table_bytes();
-        self.stats.table_bytes += bytes;
-        if let Some(sink) = self.trace {
-            let call = self.arena.terms(&key);
-            sink.event(&TraceEvent::NewSubgoal {
-                pred: root_f,
-                call: &call,
-                bytes,
-            });
-        }
-        self.subgoals.push(state);
-        let node = Node {
-            subgoal: root as u32,
-            root: self.arena.canonicalize2(b0, template, goals).root_id(),
-            prov: self.fresh_prov(),
-        };
-        self.push(Task::Expand(node));
-        root
     }
 
     /// Executes one worklist task, wrapped in its per-task span. Per-task
     /// spans attribute time to the predicate whose table the task serves:
     /// the node's own subgoal for an expansion, the watched table for an
     /// answer return.
-    pub(crate) fn step(&mut self, task: Task) -> Result<(), EngineError> {
+    fn step(&mut self, task: Task) -> Result<(), EngineError> {
         let spans_on = self.spans.is_some();
         match task {
             Task::Expand(n) => {
@@ -607,7 +576,7 @@ impl<'e> Machine<'e> {
     /// the spawned continuations that are pure inserts (clause bodies the
     /// delivery completed). Recursive chains need a further return →
     /// expand link, which never runs — that is what bounds the pass.
-    pub(crate) fn settle(&mut self) -> Result<(), EngineError> {
+    fn settle(&mut self) -> Result<(), EngineError> {
         let mut queued = Vec::new();
         while let Some(task) = self.scheduler.pop() {
             queued.push(task);
@@ -638,7 +607,7 @@ impl<'e> Machine<'e> {
 
     /// `Some(empty trail)` when provenance recording is on, `None` (no
     /// allocation) otherwise.
-    pub(crate) fn fresh_prov(&self) -> Option<Box<NodeProv>> {
+    fn fresh_prov(&self) -> Option<Box<NodeProv>> {
         self.opts.record_provenance.then(Box::<NodeProv>::default)
     }
 
@@ -879,28 +848,6 @@ impl<'e> Machine<'e> {
             root,
             prov,
         };
-        // Under the parallel driver, a call whose predicate SCC belongs to
-        // another worker is not tabled here: the consumer node parks in
-        // `remote_waits` and a call message carries the canonical pattern
-        // to the owner, who back-fills existing answers and forwards every
-        // later insert (each answer reaches the waiting node exactly once).
-        if let Some(owner) = self.remote_owner(f) {
-            let token = self.remote_waits.len();
-            self.remote_waits.push((f, node));
-            let call = self.arena.terms(&key);
-            let par = self.par.as_ref().expect("remote owner implies parallel");
-            par.send(
-                owner,
-                Msg::Call {
-                    pred: f,
-                    call,
-                    from: par.me,
-                    token,
-                    flow: None,
-                },
-            );
-            return Ok(());
-        }
         let watched = self.find_or_create_subgoal(f, key)?;
         let cid = self.consumers.len();
         // Back-fill the answers the table already holds and park the cursor
@@ -919,7 +866,7 @@ impl<'e> Machine<'e> {
         Ok(())
     }
 
-    pub(crate) fn find_or_create_subgoal(
+    fn find_or_create_subgoal(
         &mut self,
         f: Functor,
         key: CanonicalTerm,
@@ -1007,15 +954,6 @@ impl<'e> Machine<'e> {
             self.span_exit();
         }
         Ok(sid)
-    }
-
-    /// `Some(worker)` when this machine is a parallel worker and `f`'s SCC
-    /// is owned by a *different* worker; `None` for sequential machines and
-    /// for predicates this worker owns (or claims, on first touch).
-    fn remote_owner(&self, f: Functor) -> Option<usize> {
-        let par = self.par.as_ref()?;
-        let owner = par.owner_of(f);
-        (owner != par.me).then_some(owner)
     }
 
     /// The most general call to `f`: distinct fresh variables.

@@ -22,13 +22,6 @@ pub enum Scheduling {
     /// Exhaust expansions before returning any answers to consumers, akin
     /// to XSB's batched scheduling.
     Batched,
-    /// Multi-worker evaluation: the derivation forest is partitioned by
-    /// predicate SCC across [`EngineOptions::threads`] worker threads, each
-    /// running a depth-first worklist over the subgoals it owns (see
-    /// DESIGN.md, "Parallel SLG"). Answer sets are identical to the
-    /// sequential strategies; task interleaving (and hence step counts) are
-    /// not deterministic.
-    Parallel,
 }
 
 impl Scheduling {
@@ -38,7 +31,6 @@ impl Scheduling {
             Scheduling::DepthFirst => "depth_first",
             Scheduling::BreadthFirst => "breadth_first",
             Scheduling::Batched => "batched",
-            Scheduling::Parallel => "parallel",
         }
     }
 }
@@ -57,10 +49,9 @@ impl FromStr for Scheduling {
             "depth_first" | "depth-first" => Ok(Scheduling::DepthFirst),
             "breadth_first" | "breadth-first" => Ok(Scheduling::BreadthFirst),
             "batched" => Ok(Scheduling::Batched),
-            "parallel" => Ok(Scheduling::Parallel),
             other => Err(format!(
                 "unknown scheduling strategy `{other}` \
-                 (expected depth_first, breadth_first, batched, or parallel)"
+                 (expected depth_first, breadth_first, or batched)"
             )),
         }
     }
@@ -82,7 +73,7 @@ pub enum Unknown {
 /// supplies depth-truncation here. The hook receives the session's own
 /// [`TermArena`] — the handle it is given and the handle it returns both
 /// live there — and must be `Send + Sync` so engines stay `Send` and one
-/// configured engine can serve the parallel multi-program driver.
+/// configured engine can serve the multi-program driver.
 pub type TermHook = Arc<dyn Fn(&mut TermArena, &CanonicalTerm) -> CanonicalTerm + Send + Sync>;
 
 /// Options controlling tabled evaluation.
@@ -90,9 +81,6 @@ pub type TermHook = Arc<dyn Fn(&mut TermArena, &CanonicalTerm) -> CanonicalTerm 
 pub struct EngineOptions {
     /// Worklist discipline.
     pub scheduling: Scheduling,
-    /// Worker-thread count for [`Scheduling::Parallel`] (0 = one worker per
-    /// available core). Ignored by the sequential strategies.
-    pub threads: usize,
     /// Which Prop-domain backend analyses built on this engine should run
     /// on (truth tables or ROBDDs). The engine itself only records the
     /// choice — the analyzers in `tablog-core` read it back — but carrying
@@ -144,7 +132,7 @@ pub struct EngineOptions {
     /// Observer of engine events (see `tablog_trace`). With `None` the
     /// engine constructs no events at all, so tracing costs nothing when
     /// disabled. Negation subcomputations share the sink, and so do the
-    /// concurrent sessions of the parallel driver (sinks are `Sync`).
+    /// concurrent sessions of the multi-program driver (sinks are `Sync`).
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Emit hierarchical timing spans (`span_enter`/`span_exit`) around
     /// evaluation, goal dispatch, clause resolution, answer return, and
@@ -173,14 +161,6 @@ impl EngineOptions {
         let on_off = |b: bool| if b { "on" } else { "off" }.to_owned();
         vec![
             ("scheduling".to_owned(), self.scheduling.name().to_owned()),
-            (
-                "threads".to_owned(),
-                match (self.scheduling, self.threads) {
-                    (Scheduling::Parallel, 0) => "auto".to_owned(),
-                    (Scheduling::Parallel, n) => n.to_string(),
-                    _ => "n/a".to_owned(),
-                },
-            ),
             ("domain".to_owned(), self.domain.name().to_owned()),
             ("occur_check".to_owned(), on_off(self.occur_check)),
             (
@@ -247,7 +227,6 @@ impl fmt::Debug for EngineOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EngineOptions")
             .field("scheduling", &self.scheduling)
-            .field("threads", &self.threads)
             .field("domain", &self.domain)
             .field("occur_check", &self.occur_check)
             .field("forward_subsumption", &self.forward_subsumption)
@@ -277,13 +256,12 @@ mod tests {
             Scheduling::DepthFirst,
             Scheduling::BreadthFirst,
             Scheduling::Batched,
-            Scheduling::Parallel,
         ] {
             assert_eq!(s.name().parse::<Scheduling>(), Ok(s));
         }
         let err = "local".parse::<Scheduling>().unwrap_err();
         // The error message enumerates every valid value.
-        for name in ["depth_first", "breadth_first", "batched", "parallel"] {
+        for name in ["depth_first", "breadth_first", "batched"] {
             assert!(err.contains(name), "{err}");
         }
     }

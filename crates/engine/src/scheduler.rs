@@ -223,11 +223,6 @@ pub fn make_scheduler<T: 'static>(s: Scheduling) -> Box<dyn Scheduler<T>> {
         Scheduling::DepthFirst => Box::new(DepthFirst::default()),
         Scheduling::BreadthFirst => Box::new(BreadthFirst::default()),
         Scheduling::Batched => Box::new(Batched::default()),
-        // The parallel strategy is a driver over worker machines, not a
-        // worklist discipline: each worker (and each negation sub-machine)
-        // orders its local tasks depth-first. `run_parallel` reports the
-        // strategy name itself.
-        Scheduling::Parallel => Box::new(DepthFirst::default()),
     }
 }
 
@@ -308,9 +303,6 @@ mod tests {
             (Scheduling::DepthFirst, "depth_first"),
             (Scheduling::BreadthFirst, "breadth_first"),
             (Scheduling::Batched, "batched"),
-            // Parallel workers each run a local depth-first queue; the
-            // "parallel" name comes from the driver, not the scheduler.
-            (Scheduling::Parallel, "depth_first"),
         ] {
             let s: Box<dyn Scheduler<u32>> = make_scheduler(opt);
             assert_eq!(s.name(), name);

@@ -163,13 +163,13 @@ proptest! {
     }
 
     /// Scheduling strategy is a performance knob, not a semantics knob:
-    /// depth-first, batched, breadth-first, and parallel (at 1, 2, and 4
-    /// workers) evaluation of the same random program reach identical
-    /// answer sets for every subgoal, and identical table/subgoal counts.
+    /// depth-first, batched, and breadth-first evaluation of the same random
+    /// program reach identical answer sets for every subgoal, and identical
+    /// table/subgoal counts.
     #[test]
     fn schedulers_agree_on_answer_sets(prog in arb_prog()) {
-        let run = |scheduling: Scheduling, threads: usize| {
-            let opts = EngineOptions { scheduling, threads, ..EngineOptions::default() };
+        let run = |scheduling: Scheduling| {
+            let opts = EngineOptions { scheduling, ..EngineOptions::default() };
             let engine =
                 Engine::from_source_with(&prog.src, LoadMode::Dynamic, opts).unwrap();
             let mut b = Bindings::new();
@@ -197,24 +197,13 @@ proptest! {
             tables.sort();
             (tables, eval.stats().subgoals, eval.stats().answers)
         };
-        let depth = run(Scheduling::DepthFirst, 1);
-        let batched = run(Scheduling::Batched, 1);
-        let breadth = run(Scheduling::BreadthFirst, 1);
+        let depth = run(Scheduling::DepthFirst);
+        let batched = run(Scheduling::Batched);
+        let breadth = run(Scheduling::BreadthFirst);
         prop_assert_eq!(&depth.0, &batched.0, "depth-first vs batched tables");
         prop_assert_eq!(&depth.0, &breadth.0, "depth-first vs breadth-first tables");
         prop_assert_eq!(depth.1, batched.1, "subgoal counts");
         prop_assert_eq!(depth.2, batched.2, "answer counts");
-        // The parallel driver partitions the same forest across workers:
-        // table contents must not depend on the worker count.
-        for threads in [1usize, 2, 4] {
-            let par = run(Scheduling::Parallel, threads);
-            prop_assert_eq!(
-                &depth.0, &par.0,
-                "depth-first vs parallel tables at {} threads", threads
-            );
-            prop_assert_eq!(depth.1, par.1, "subgoal counts at {} threads", threads);
-            prop_assert_eq!(depth.2, par.2, "answer counts at {} threads", threads);
-        }
     }
 
     /// PR 5's heap attribution: each table's byte breakdown (terms +

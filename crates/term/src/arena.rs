@@ -409,16 +409,7 @@ impl Arena {
     /// allocated: the walk resolves bindings and interns bottom-up. The
     /// walk keeps its path on `s.path` rather than the call stack, so a
     /// term nested arbitrarily deep cannot overflow it.
-    ///
-    /// With `memo`, ground compounds are remembered by the address of their
-    /// argument list (valid only while `b` binds nothing).
-    fn canon(
-        &mut self,
-        b: &Bindings,
-        t: &Term,
-        s: &mut Scratch,
-        mut memo: Option<&mut SharedTerms>,
-    ) -> TermId {
+    fn canon(&mut self, b: &Bindings, t: &Term, s: &mut Scratch) -> TermId {
         let floor = s.path.len();
         let mut cur = b.walk(t).clone();
         loop {
@@ -438,15 +429,12 @@ impl Arena {
                 Term::Atom(a) => self.intern(Shape::Atom(*a)),
                 Term::Int(i) => self.intern(Shape::Int(*i)),
                 Term::Struct(f, args) if args.is_empty() => self.intern(Shape::Struct(*f, &[])),
-                Term::Struct(_, args) => match memo.as_deref().and_then(|m| m.get(args)) {
-                    Some(id) => id,
-                    None => {
-                        let first = b.walk(&args[0]).clone();
-                        s.path.push((cur, 1, s.stack.len() as u32));
-                        cur = first;
-                        continue;
-                    }
-                },
+                Term::Struct(_, args) => {
+                    let first = b.walk(&args[0]).clone();
+                    s.path.push((cur, 1, s.stack.len() as u32));
+                    cur = first;
+                    continue;
+                }
             };
             // Climb: hand the finished child to its parent, then either
             // descend into the parent's next argument or finish the parent.
@@ -467,12 +455,7 @@ impl Arena {
                 let (f, mark) = (*f, *mark as usize);
                 id = self.intern(Shape::Struct(f, &s.stack[mark..]));
                 s.stack.truncate(mark);
-                let (done, ..) = s.path.pop().expect("frame above the floor");
-                if let Some(m) = memo.as_deref_mut() {
-                    if self.node(id).is_ground() {
-                        m.insert(done, id);
-                    }
-                }
+                s.path.pop().expect("frame above the floor");
             }
         }
     }
@@ -781,11 +764,10 @@ impl Arena {
         b: &Bindings,
         xs: &[Term],
         ys: &[Term],
-        mut memo: Option<&mut SharedTerms>,
     ) -> CanonicalTerm {
         let mut s = std::mem::take(&mut self.scratch);
         for t in xs.iter().chain(ys) {
-            let k = self.canon(b, t, &mut s, memo.as_deref_mut());
+            let k = self.canon(b, t, &mut s);
             s.stack.push(k);
         }
         let nvars = s.touched.len() as u32;
@@ -802,33 +784,6 @@ impl Arena {
 }
 
 use super::variant::CanonicalTerm;
-
-/// Ground compounds a [`TermArena`] has interned from shared [`Term`]s,
-/// remembered by the address of their argument list (see
-/// [`TermArena::canonicalize_shared`]). Holds a clone of each remembered
-/// term, so no remembered address can be freed and reused.
-#[derive(Clone, Debug, Default)]
-pub struct SharedTerms {
-    ids: std::collections::HashMap<usize, TermId>,
-    keep: Vec<Term>,
-}
-
-impl SharedTerms {
-    fn key(args: &std::sync::Arc<[Term]>) -> usize {
-        std::sync::Arc::as_ptr(args) as *const Term as usize
-    }
-
-    fn get(&self, args: &std::sync::Arc<[Term]>) -> Option<TermId> {
-        self.ids.get(&Self::key(args)).copied()
-    }
-
-    fn insert(&mut self, t: Term, id: TermId) {
-        if let Term::Struct(_, args) = &t {
-            self.ids.insert(Self::key(args), id);
-            self.keep.push(t);
-        }
-    }
-}
 
 /// A session-scoped hash-consing term arena.
 ///
@@ -889,24 +844,13 @@ impl TermArena {
     /// Canonicalizes a tuple of terms after resolving them through `b`;
     /// see [`crate::canonicalize`].
     pub fn canonicalize(&mut self, b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize(self.id, b, ts, &[], None)
-    }
-
-    /// Canonicalizes unbound terms that share structure with terms given
-    /// before — answers shipped between arenas, each extending the last.
-    /// A ground compound interned once is found again by the address of
-    /// its argument list, so a term that shares it costs no second walk.
-    /// `memo` belongs to this arena.
-    pub fn canonicalize_shared(&mut self, ts: &[Term], memo: &mut SharedTerms) -> CanonicalTerm {
-        let empty = Bindings::new();
-        self.inner
-            .canonicalize(self.id, &empty, ts, &[], Some(memo))
+        self.inner.canonicalize(self.id, b, ts, &[])
     }
 
     /// Canonicalizes the concatenation of two tuples without allocating the
     /// concatenated slice; see [`crate::canonicalize2`].
     pub fn canonicalize2(&mut self, b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize(self.id, b, xs, ys, None)
+        self.inner.canonicalize(self.id, b, xs, ys)
     }
 
     /// Canonicalizes a single already-resolved term.
@@ -1074,11 +1018,11 @@ impl TermArena {
 // intern, and repeated analyses no longer accumulate state here.
 
 pub(crate) fn canonicalize_in(b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, ts, &[], None))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, ts, &[]))
 }
 
 pub(crate) fn canonicalize2_in(b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, xs, ys, None))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, xs, ys))
 }
 
 #[inline]

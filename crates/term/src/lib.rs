@@ -31,9 +31,7 @@ mod term;
 mod unify;
 mod variant;
 
-pub use arena::{
-    arena_stats, charge_shared_bytes, ArenaStats, SharedTerms, TermArena, TermId, TermView,
-};
+pub use arena::{arena_stats, charge_shared_bytes, ArenaStats, TermArena, TermId, TermView};
 pub use bindings::{Bindings, TrailMark};
 pub use env::{Cyclic, Env, EnvMark, Head, Val, Walked};
 pub use symbol::{intern, sym_name, sym_str, Sym};

@@ -1,58 +1,40 @@
-//! Chrome Trace Event export: spans as `ph:"B"/"E"` duration events,
-//! counter samples as `ph:"C"` counter tracks, and cross-worker message
-//! flows as `ph:"s"/"f"` flow events, loadable in Perfetto
+//! Chrome Trace Event export: spans as `ph:"B"/"E"` duration events and
+//! counter samples as `ph:"C"` counter tracks, loadable in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
 //! The exporter consumes the same frozen structures the other exports do —
-//! a [`SpanTree`], the [`CounterSample`]s of a [`crate::CounterTrack`],
-//! and the [`FlowEvent`]s collected by a parallel run — so it composes
-//! with any recording setup. Timestamps are normalized to the earliest
-//! observation (the first event lands at `ts: 0.000`), which makes the
-//! output *deterministic modulo timestamps*: two runs of the same program
-//! differ only in `ts` values, never in event order, names, nesting, or
-//! counter values (parallel runs additionally vary in interleaving; the
-//! golden test pins a sorted structural projection instead).
+//! a [`SpanTree`] and the [`CounterSample`]s of a [`crate::CounterTrack`]
+//! — so it composes with any recording setup. Timestamps are normalized to
+//! the earliest observation (the first event lands at `ts: 0.000`), which
+//! makes the output *deterministic modulo timestamps*: two runs of the same
+//! program differ only in `ts` values, never in event order, names,
+//! nesting, or counter values.
 //!
 //! Format notes (the Trace Event Format is JSON-array based):
 //!
 //! * duration events carry `ph:"B"` (begin) / `ph:"E"` (end) and nest by
 //!   emission order within one `pid`/`tid` pair — the tree is walked
 //!   depth-first, so every `B` is closed by its own `E` after its children;
-//! * every span lands on the `tid` lane of the worker that emitted it:
-//!   worker `w` maps to `tid w+2` named `worker_w`, untagged (sequential /
-//!   analyzer) spans map to `tid 1` named `slg-engine`;
+//! * every span lands on the one `tid` lane, named `slg-engine`;
 //! * counter events carry `ph:"C"`; multiple keys in `args` render as a
 //!   stacked series (the `worklist` track stacks `expands` over `returns`);
-//!   worker-tagged samples get per-worker track names (`worker0.worklist`);
-//! * flow events carry `ph:"s"` (start, on the sender's lane) and `ph:"f"`
-//!   with `bp:"e"` (finish, on the receiver's lane), joined by `id`;
 //! * `ts` is in fractional microseconds;
-//! * `ph:"M"` metadata events name the process and each thread lane.
+//! * `ph:"M"` metadata events name the process and the thread lane.
 
 use crate::counter::CounterSample;
-use crate::flow::FlowEvent;
 use crate::json::escape;
 use crate::span::SpanTree;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The `pid` stamped on every event: one logical process per export.
 const PID: u32 = 1;
 
-/// The `tid` of a span stream: one lane per parallel worker, with the
-/// sequential/analyzer stream on lane 1.
-fn lane(worker: Option<usize>) -> usize {
-    match worker {
-        None => 1,
-        Some(w) => w + 2,
-    }
-}
+/// The `tid` of the one span lane.
+const TID: u32 = 1;
 
-/// The counter track names the export emits for untagged samples, in
-/// emission order. The `worklist` track carries two stacked series
-/// (`expands`, `returns`); the rest carry a single `value` series.
-/// Worker-tagged samples emit the same tracks prefixed `worker{w}.`, plus
-/// a `worker{w}.msgs_sent` track.
+/// The counter track names the export emits, in emission order. The
+/// `worklist` track carries two stacked series (`expands`, `returns`);
+/// the rest carry a single `value` series.
 pub const CHROME_COUNTER_TRACKS: [&str; 4] = ["worklist", "tables", "answers", "table_bytes"];
 
 fn push_duration_events(tree: &SpanTree, t0: u64, out: &mut Vec<String>) {
@@ -68,10 +50,9 @@ fn push_duration_events(tree: &SpanTree, t0: u64, out: &mut Vec<String>) {
                 let n = &tree.nodes[i];
                 let mut e = format!(
                     "{{\"name\":\"{}\",\"cat\":\"engine\",\"ph\":\"B\",\"ts\":{:.3},\
-                     \"pid\":{PID},\"tid\":{}",
+                     \"pid\":{PID},\"tid\":{TID}",
                     escape(&n.name),
                     ts(n.start_ns),
-                    lane(n.worker)
                 );
                 if let Some(p) = &n.pred {
                     let _ = write!(e, ",\"args\":{{\"pred\":\"{}\"}}", escape(p));
@@ -87,10 +68,9 @@ fn push_duration_events(tree: &SpanTree, t0: u64, out: &mut Vec<String>) {
                 let n = &tree.nodes[i];
                 out.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"engine\",\"ph\":\"E\",\"ts\":{:.3},\
-                     \"pid\":{PID},\"tid\":{}}}",
+                     \"pid\":{PID},\"tid\":{TID}}}",
                     escape(&n.name),
                     ts(n.start_ns + n.total_ns),
-                    lane(n.worker)
                 ));
             }
         }
@@ -100,12 +80,8 @@ fn push_duration_events(tree: &SpanTree, t0: u64, out: &mut Vec<String>) {
 fn push_counter_events(counters: &[CounterSample], t0: u64, out: &mut Vec<String>) {
     for c in counters {
         let ts = (c.t_ns.saturating_sub(t0)) as f64 / 1000.0;
-        let prefix = match c.worker {
-            Some(w) => format!("worker{w}."),
-            None => String::new(),
-        };
         out.push(format!(
-            "{{\"name\":\"{prefix}worklist\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{PID},\
+            "{{\"name\":\"worklist\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{PID},\
              \"args\":{{\"expands\":{},\"returns\":{}}}}}",
             c.expands, c.returns
         ));
@@ -115,43 +91,10 @@ fn push_counter_events(counters: &[CounterSample], t0: u64, out: &mut Vec<String
             ("table_bytes", c.table_bytes),
         ] {
             out.push(format!(
-                "{{\"name\":\"{prefix}{name}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{PID},\
+                "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{PID},\
                  \"args\":{{\"value\":{value}}}}}"
             ));
         }
-        // Message traffic only exists on worker-tagged (parallel) samples;
-        // sequential exports keep exactly the four classic tracks.
-        if c.worker.is_some() {
-            out.push(format!(
-                "{{\"name\":\"{prefix}msgs_sent\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{PID},\
-                 \"args\":{{\"value\":{}}}}}",
-                c.msgs_sent
-            ));
-        }
-    }
-}
-
-fn push_flow_events(flows: &[FlowEvent], t0: u64, out: &mut Vec<String>) {
-    for f in flows {
-        let name = match f.kind {
-            crate::flow::MsgKind::Call => "msg_call",
-            crate::flow::MsgKind::Answer => "msg_answer",
-        };
-        out.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{},\"ts\":{:.3},\
-             \"pid\":{PID},\"tid\":{}}}",
-            f.id,
-            (f.send_ns.saturating_sub(t0)) as f64 / 1000.0,
-            lane(Some(f.from))
-        ));
-        out.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\
-             \"ts\":{:.3},\"pid\":{PID},\"tid\":{},\"args\":{{\"bytes\":{}}}}}",
-            f.id,
-            (f.recv_ns.saturating_sub(t0)) as f64 / 1000.0,
-            lane(Some(f.to)),
-            f.bytes
-        ));
     }
 }
 
@@ -164,55 +107,25 @@ fn push_flow_events(flows: &[FlowEvent], t0: u64, out: &mut Vec<String>) {
 /// [`CHROME_COUNTER_TRACKS`]. Trace viewers sort by `ts`, so grouping by
 /// kind is purely for structural stability of the file.
 pub fn chrome_trace(tree: &SpanTree, counters: &[CounterSample]) -> String {
-    chrome_trace_with_flows(tree, counters, &[])
-}
-
-/// [`chrome_trace`] plus cross-worker message flows: each [`FlowEvent`]
-/// becomes a `ph:"s"` event on the sender's lane and a matching `ph:"f"`
-/// event on the receiver's, so trace viewers draw an arrow between the
-/// two worker lanes. One `thread_name` metadata event names every lane
-/// that appears in the export (spans, counters, or flows).
-pub fn chrome_trace_with_flows(
-    tree: &SpanTree,
-    counters: &[CounterSample],
-    flows: &[FlowEvent],
-) -> String {
     let t0 = tree
         .nodes
         .iter()
         .map(|n| n.start_ns)
         .chain(counters.iter().map(|c| c.t_ns))
-        .chain(flows.iter().map(|f| f.send_ns))
         .min()
         .unwrap_or(0);
-    let workers: BTreeSet<usize> = tree
-        .nodes
-        .iter()
-        .filter_map(|n| n.worker)
-        .chain(counters.iter().filter_map(|c| c.worker))
-        .chain(flows.iter().flat_map(|f| [f.from, f.to]))
-        .collect();
     let mut events = vec![
         format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\
              \"args\":{{\"name\":\"tablog\"}}}}"
         ),
         format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\
-             \"args\":{{\"name\":\"slg-engine\"}}}}",
-            lane(None)
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{TID},\
+             \"args\":{{\"name\":\"slg-engine\"}}}}"
         ),
     ];
-    for w in workers {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\
-             \"args\":{{\"name\":\"worker_{w}\"}}}}",
-            lane(Some(w))
-        ));
-    }
     push_duration_events(tree, t0, &mut events);
     push_counter_events(counters, t0, &mut events);
-    push_flow_events(flows, t0, &mut events);
     format!(
         "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
         events.join(",")
@@ -222,7 +135,6 @@ pub fn chrome_trace_with_flows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::MsgKind;
     use crate::json::{parse, JsonValue};
     use crate::span::{SpanEmitter, SpanRecorder};
     use tablog_term::Functor;
@@ -249,8 +161,6 @@ mod tests {
                 tables: 1,
                 answers: 0,
                 table_bytes: 64,
-                msgs_sent: 0,
-                worker: None,
             },
             CounterSample {
                 t_ns: 1000,
@@ -260,8 +170,6 @@ mod tests {
                 tables: 2,
                 answers: 3,
                 table_bytes: 160,
-                msgs_sent: 0,
-                worker: None,
             },
         ]
     }
@@ -317,7 +225,7 @@ mod tests {
         for want in CHROME_COUNTER_TRACKS {
             assert!(counter_names.iter().any(|n| n == want), "missing {want}");
         }
-        // 2 samples x 4 tracks (untagged samples get no msgs_sent track).
+        // 2 samples x 4 tracks.
         assert_eq!(counter_names.len(), 8);
         let worklist = evs
             .iter()
@@ -366,132 +274,5 @@ mod tests {
         };
         assert_eq!(pred_of("dispatch"), Some("p/2".to_owned()));
         assert_eq!(pred_of("evaluate"), None);
-    }
-
-    fn worker_tree() -> SpanTree {
-        let rec = SpanRecorder::new();
-        let mut w0 = SpanEmitter::new();
-        w0.set_worker(0);
-        w0.enter(&rec, "worker_0", None);
-        w0.exit(&rec);
-        let mut w1 = SpanEmitter::new();
-        w1.set_worker(1);
-        w1.enter(&rec, "worker_1", None);
-        w1.exit(&rec);
-        rec.snapshot()
-    }
-
-    #[test]
-    fn worker_spans_land_on_named_per_worker_lanes() {
-        let doc = chrome_trace(&worker_tree(), &[]);
-        let v = parse(&doc).expect("parses");
-        let evs = events(&v);
-        // One thread_name metadata event per lane: slg-engine + 2 workers.
-        let lanes: Vec<(f64, String)> = evs
-            .iter()
-            .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some("thread_name"))
-            .map(|e| {
-                (
-                    e.get("tid").and_then(JsonValue::as_f64).unwrap(),
-                    e.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(|n| n.as_str())
-                        .unwrap()
-                        .to_owned(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            lanes,
-            vec![
-                (1.0, "slg-engine".to_owned()),
-                (2.0, "worker_0".to_owned()),
-                (3.0, "worker_1".to_owned()),
-            ]
-        );
-        // Each worker's span sits on its own lane.
-        let tid_of = |name: &str| {
-            evs.iter()
-                .find(|e| {
-                    e.get("ph").and_then(JsonValue::as_str) == Some("B")
-                        && e.get("name").and_then(JsonValue::as_str) == Some(name)
-                })
-                .and_then(|e| e.get("tid"))
-                .and_then(JsonValue::as_f64)
-        };
-        assert_eq!(tid_of("worker_0"), Some(2.0));
-        assert_eq!(tid_of("worker_1"), Some(3.0));
-    }
-
-    #[test]
-    fn worker_tagged_samples_get_prefixed_tracks_with_msgs_sent() {
-        let tagged = CounterSample {
-            worker: Some(1),
-            msgs_sent: 5,
-            ..samples()[0]
-        };
-        let doc = chrome_trace(&SpanTree::default(), &[tagged]);
-        let v = parse(&doc).expect("parses");
-        let evs = events(&v);
-        let names: Vec<String> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("C"))
-            .map(|e| {
-                e.get("name")
-                    .and_then(JsonValue::as_str)
-                    .unwrap()
-                    .to_owned()
-            })
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                "worker1.worklist",
-                "worker1.tables",
-                "worker1.answers",
-                "worker1.table_bytes",
-                "worker1.msgs_sent",
-            ]
-        );
-        // A counter-only worker still gets a named lane.
-        assert!(doc.contains("\"name\":\"worker_1\""), "{doc}");
-    }
-
-    #[test]
-    fn flow_events_pair_sender_and_receiver_lanes() {
-        let flow = FlowEvent {
-            id: 42,
-            kind: MsgKind::Call,
-            from: 0,
-            to: 1,
-            send_ns: 100,
-            recv_ns: 400,
-            bytes: 24,
-        };
-        let doc = chrome_trace_with_flows(&worker_tree(), &[], &[flow]);
-        let v = parse(&doc).expect("parses");
-        let evs = events(&v);
-        let find = |ph: &str| {
-            evs.iter()
-                .find(|e| e.get("ph").and_then(JsonValue::as_str) == Some(ph))
-                .cloned()
-                .unwrap_or_else(|| panic!("no ph:{ph} event in {doc}"))
-        };
-        let s = find("s");
-        let f = find("f");
-        assert_eq!(s.get("name").and_then(JsonValue::as_str), Some("msg_call"));
-        assert_eq!(s.get("id").and_then(JsonValue::as_f64), Some(42.0));
-        assert_eq!(f.get("id").and_then(JsonValue::as_f64), Some(42.0));
-        assert_eq!(s.get("tid").and_then(JsonValue::as_f64), Some(2.0));
-        assert_eq!(f.get("tid").and_then(JsonValue::as_f64), Some(3.0));
-        assert_eq!(f.get("bp").and_then(JsonValue::as_str), Some("e"));
-        assert_eq!(
-            f.get("args")
-                .and_then(|a| a.get("bytes"))
-                .and_then(JsonValue::as_f64),
-            Some(24.0)
-        );
-        // Flow timestamps are normalized on the shared timeline.
-        assert!(s.get("ts").and_then(JsonValue::as_f64).unwrap() >= 0.0);
     }
 }

@@ -44,26 +44,14 @@ pub struct CounterSample {
     pub answers: usize,
     /// Current table space in bytes (the engine's incremental accounting).
     pub table_bytes: usize,
-    /// Cumulative cross-worker messages sent by the sampling worker
-    /// (always 0 for sequential runs).
-    pub msgs_sent: usize,
-    /// Parallel worker the sample was taken on; `None` for sequential
-    /// evaluations, where there is exactly one (anonymous) sampler.
-    pub worker: Option<usize>,
 }
 
 impl CounterSample {
     /// Renders the sample as a JSON object (the `JsonLinesSink` line body).
-    /// `worker` is emitted only when the sample is worker-tagged, keeping
-    /// sequential trace lines unchanged.
     pub fn to_json(&self) -> String {
-        let worker = match self.worker {
-            Some(w) => format!(",\"worker\":{w}"),
-            None => String::new(),
-        };
         format!(
             "{{\"t_ns\":{},\"worklist\":{},\"expands\":{},\"returns\":{},\
-             \"tables\":{},\"answers\":{},\"table_bytes\":{},\"msgs_sent\":{}{}}}",
+             \"tables\":{},\"answers\":{},\"table_bytes\":{}}}",
             self.t_ns,
             self.worklist,
             self.expands,
@@ -71,8 +59,6 @@ impl CounterSample {
             self.tables,
             self.answers,
             self.table_bytes,
-            self.msgs_sent,
-            worker
         )
     }
 }
@@ -137,8 +123,6 @@ mod tests {
             tables: 4,
             answers,
             table_bytes: 128,
-            msgs_sent: 6,
-            worker: None,
         }
     }
 
@@ -166,18 +150,9 @@ mod tests {
             ("tables", 4.0),
             ("answers", 5.0),
             ("table_bytes", 128.0),
-            ("msgs_sent", 6.0),
         ] {
             assert_eq!(v.get(key).and_then(|x| x.as_f64()), Some(want), "{key}");
         }
-        // Untagged samples keep the sequential shape: no worker key.
-        assert!(v.get("worker").is_none());
-        let tagged = CounterSample {
-            worker: Some(2),
-            ..sample(7, 5)
-        };
-        let v = crate::json::parse(&tagged.to_json()).expect("valid JSON");
-        assert_eq!(v.get("worker").and_then(|x| x.as_f64()), Some(2.0));
     }
 
     #[test]

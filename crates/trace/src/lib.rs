@@ -23,7 +23,6 @@
 pub mod chrome;
 pub mod counter;
 pub mod event;
-pub mod flow;
 pub mod folded;
 pub mod forest;
 pub mod health;
@@ -33,15 +32,14 @@ pub mod openmetrics;
 pub mod sink;
 pub mod span;
 
-pub use chrome::{chrome_trace, chrome_trace_with_flows, CHROME_COUNTER_TRACKS};
+pub use chrome::{chrome_trace, CHROME_COUNTER_TRACKS};
 pub use counter::{CounterSample, CounterTrack};
 pub use event::{OwnedEvent, TraceEvent};
-pub use flow::{FlowEvent, MsgKind};
 pub use folded::{folded_frames, folded_stacks};
 pub use forest::{Forest, ForestAnswer, ForestSubgoal};
 pub use health::{HealthSnapshot, HealthTrack, StallWatchdog};
 pub use metrics::{EngineSnapshot, MetricsRegistry, MetricsReport, PredStats};
-pub use openmetrics::{openmetrics, openmetrics_series, openmetrics_workers, validate_openmetrics};
+pub use openmetrics::{openmetrics, openmetrics_series, validate_openmetrics};
 pub use sink::{
     CountingSink, JsonLinesSink, MultiSink, NoopSink, RingBufferSink, SharedBuf, TraceSink,
 };

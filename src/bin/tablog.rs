@@ -17,12 +17,6 @@
 //!                                       the evaluation; --counters adds
 //!                                       worklist/tables/answers/table_bytes
 //!                                       counter tracks
-//! tablog workers FILE.pl GOAL [--metrics OUT.prom]
-//!                                       evaluate under --scheduler parallel
-//!                                       and report per-worker load, SCC
-//!                                       ownership, and the message matrix;
-//!                                       --metrics writes worker-labeled
-//!                                       gauges as OpenMetrics text
 //! tablog watch FILE.pl GOAL [--interval MS] [--metrics OUT.prom]
 //!             [--max-steps N] [--deadline MS] [--max-table-bytes B]
 //!                                       evaluate under resource budgets,
@@ -57,15 +51,11 @@
 //!   fixed-width table.
 //! * `--trace FILE` — append every engine event to `FILE` as JSON lines.
 //! * `--scheduler S` — SLG scheduling strategy for engine-backed commands:
-//!   `depth-first` (default), `breadth-first`, `batched`, or `parallel`
-//!   (one query evaluated across several worker threads; see `--threads`).
+//!   `depth-first` (default), `breadth-first`, or `batched`.
 //! * `--domain D` — Prop-domain backend for the groundness analyses:
 //!   `table` (default; enumerative truth tables) or `bdd` (hash-consed
 //!   BDDs). Both compute identical results; they trade memory/time
 //!   differently. Recorded in `stats`/`--profile` reports either way.
-//! * `--threads N` — worker-thread count for `--scheduler parallel` and
-//!   the `workers` command (default: one per available core). An error
-//!   with any sequential strategy.
 //! * `--jobs N` — for the analysis commands (`ground`, `depthk`), analyze
 //!   multiple input files on up to `N` worker threads; output stays in
 //!   input order.
@@ -104,16 +94,12 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage: tablog <query|tables|stats|profile|timeline|workers|watch|explain|forest|ground|depthk|modes|strict|types|run> FILE [ARGS…]\n\
+    "usage: tablog <query|tables|stats|profile|timeline|watch|explain|forest|ground|depthk|modes|strict|types|run> FILE [ARGS…]\n\
      tables  FILE GOAL [--top N]  (--top/--json: per-table heap attribution)\n\
      profile FILE GOAL [--folded OUT]  (span timings; collapsed stacks)\n\
      timeline FILE GOAL [--out trace.json] [--counters]\n\
                                   (Chrome-trace/Perfetto timeline of the run;\n\
                                    --counters adds counter time-series tracks)\n\
-     workers FILE GOAL [--metrics OUT.prom]\n\
-                                  (parallel run: per-worker load, SCC owners,\n\
-                                   message matrix; --metrics writes worker-\n\
-                                   labeled gauges as OpenMetrics text)\n\
      watch   FILE GOAL [--interval MS] [--metrics OUT.prom] [--max-steps N]\n\
                        [--deadline MS] [--max-table-bytes B]\n\
                                   (budgeted evaluation with live health\n\
@@ -121,10 +107,9 @@ fn usage() -> String {
      explain FILE GOAL [--depth N] [--analysis ground|depthk|strict|direct]\n\
      forest  FILE GOAL [--dot OUT]\n\
      ground|depthk accept multiple FILEs; --jobs N analyzes them concurrently\n\
-     global flags: --profile  --json  --trace FILE  --scheduler S  --threads N\n\
-                   --jobs N  --progress  --domain D\n\
-     --scheduler: depth-first (default) | breadth-first | batched | parallel\n\
-     --threads N: workers for --scheduler parallel (default: one per core)\n\
+     global flags: --profile  --json  --trace FILE  --scheduler S  --jobs N\n\
+                   --progress  --domain D\n\
+     --scheduler: depth-first (default) | breadth-first | batched\n\
      --domain: table (default) | bdd  (Prop backend for groundness analyses)\n\
      see `tablog help` or the crate documentation"
         .to_owned()
@@ -243,8 +228,6 @@ struct Obs {
     health: Option<HealthConfig>,
     /// SLG scheduling strategy for engine-backed commands.
     scheduling: Scheduling,
-    /// Worker threads for `--scheduler parallel` (0 = one per core).
-    threads: usize,
     /// Worker threads for multi-file analysis commands.
     jobs: usize,
     /// Prop-domain backend for the groundness analyses.
@@ -297,8 +280,6 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
     let mut progress = false;
     let mut trace_path: Option<String> = None;
     let mut scheduling = Scheduling::default();
-    let mut threads = 0usize;
-    let mut threads_explicit = false;
     let mut jobs = 1usize;
     let mut domain = DomainKind::default();
     let mut it = args.iter();
@@ -319,19 +300,6 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
                 let d = it.next().ok_or("--domain requires a backend name")?;
                 domain = d.parse()?;
             }
-            "--threads" => {
-                let n = it.next().ok_or("--threads requires a worker count")?;
-                threads_explicit = true;
-                threads = match n.parse::<usize>() {
-                    Ok(0) => return Err(format!("bad --threads value {n} (must be at least 1)")),
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Err(format!(
-                            "bad --threads value {n} (expected a positive integer)"
-                        ))
-                    }
-                };
-            }
             "--jobs" => {
                 let n = it.next().ok_or("--jobs requires a thread count")?;
                 jobs = n
@@ -341,15 +309,6 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
             }
             _ => rest.push(a.clone()),
         }
-    }
-    // A worker count on a sequential run would be silently meaningless;
-    // refuse it rather than let the user believe they ran parallel. The
-    // `workers` subcommand implies the parallel strategy, so it is exempt.
-    if threads_explicit
-        && scheduling != Scheduling::Parallel
-        && rest.first().map(String::as_str) != Some("workers")
-    {
-        return Err("--threads requires --scheduler parallel".to_owned());
     }
     let sink = match trace_path {
         Some(p) => {
@@ -371,7 +330,6 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
             progress: tty.then(|| Arc::new(ProgressSink) as Arc<dyn TraceSink>),
             health: tty.then(|| HealthConfig::every_ms(100)),
             scheduling,
-            threads,
             jobs,
             domain,
         },
@@ -433,7 +391,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let opts = EngineOptions {
                 trace: obs.engine_sink(registry.as_ref()),
                 scheduling: obs.scheduling,
-                threads: obs.threads,
                 domain: obs.domain,
                 health: obs.health,
                 ..Default::default()
@@ -490,7 +447,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let opts = EngineOptions {
                 trace: obs.engine_sink(Some(&registry)),
                 scheduling: obs.scheduling,
-                threads: obs.threads,
                 domain: obs.domain,
                 health: obs.health,
                 ..Default::default()
@@ -508,50 +464,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             report.options = engine.options().describe();
             report.engine = Some(engine_snapshot(&eval, obs.domain));
             if obs.json {
-                // A parallel run stacks its load-balance report into the
-                // same document, so one `stats --json` capture explains
-                // both what was computed and who computed it.
-                let doc = report.to_json();
-                match eval.parallel_report() {
-                    Some(p) => println!("{},\"parallel\":{}}}", &doc[..doc.len() - 1], p.to_json()),
-                    None => println!("{doc}"),
-                }
-            } else {
-                print!("{}", report.render_text());
-                if let Some(p) = eval.parallel_report() {
-                    print!("{}", p.render_text());
-                }
-            }
-            Ok(())
-        }
-        "workers" => {
-            let (src, goal) = file_goal(args)?;
-            let metrics_path = flag_value(args, "--metrics");
-            let registry = Arc::new(MetricsRegistry::new());
-            let opts = EngineOptions {
-                trace: obs.engine_sink(Some(&registry)),
-                scheduling: Scheduling::Parallel,
-                threads: obs.threads,
-                domain: obs.domain,
-                record_counters: metrics_path.is_some(),
-                health: obs.health,
-                ..Default::default()
-            };
-            let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
-                .map_err(|e| e.to_string())?;
-            let mut b = tablog_term::Bindings::new();
-            let (t, _) = tablog_syntax::parse_term(goal, &mut b).map_err(|e| e.to_string())?;
-            let eval = engine.evaluate(&[t], &[], &b).map_err(|e| e.to_string())?;
-            let report = eval.parallel_report().ok_or(
-                "workers: the evaluation produced no parallel report \
-                 (the run fell back to sequential)",
-            )?;
-            if let Some(path) = metrics_path {
-                let doc = tablog_trace::openmetrics_workers(&registry.counters().samples());
-                write_output(path, &doc)?;
-                eprintln!("wrote {path}: per-worker gauges as OpenMetrics text");
-            }
-            if obs.json {
                 println!("{}", report.to_json());
             } else {
                 print!("{}", report.render_text());
@@ -564,7 +476,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let opts = EngineOptions {
                 trace: obs.engine_sink(Some(&registry)),
                 scheduling: obs.scheduling,
-                threads: obs.threads,
                 domain: obs.domain,
                 record_spans: true,
                 health: obs.health,
@@ -645,7 +556,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let opts = EngineOptions {
                 trace: obs.engine_sink(Some(&registry)),
                 scheduling: obs.scheduling,
-                threads: obs.threads,
                 domain: obs.domain,
                 record_spans: true,
                 record_counters: counters,
@@ -656,7 +566,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             let mut b = tablog_term::Bindings::new();
             let (t, _) = tablog_syntax::parse_term(goal, &mut b).map_err(|e| e.to_string())?;
-            let eval = engine.evaluate(&[t], &[], &b).map_err(|e| e.to_string())?;
+            engine.evaluate(&[t], &[], &b).map_err(|e| e.to_string())?;
             let tree = registry.spans().snapshot();
             let samples = registry.counters().samples();
             if counters && samples.is_empty() {
@@ -668,21 +578,15 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                         .to_string(),
                 );
             }
-            // A parallel run's cross-worker messages become flow arrows
-            // between the worker lanes; sequential runs have none.
-            let flows = eval
-                .parallel_report()
-                .map_or(&[] as &[_], |p| p.flows.as_slice());
-            let doc = tablog_trace::chrome_trace_with_flows(&tree, &samples, flows);
+            let doc = tablog_trace::chrome_trace(&tree, &samples);
             match flag_value(args, "--out") {
                 Some(path) => {
                     write_output(path, &doc)?;
                     eprintln!(
-                        "wrote {path}: {} spans, {} counter samples, {} message flows — \
+                        "wrote {path}: {} spans, {} counter samples — \
                          load in https://ui.perfetto.dev or chrome://tracing",
                         tree.nodes.len(),
-                        samples.len(),
-                        flows.len()
+                        samples.len()
                     );
                 }
                 None => println!("{doc}"),
@@ -727,7 +631,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let opts = EngineOptions {
                 trace: Some(Arc::new(fan) as Arc<dyn TraceSink>),
                 scheduling: obs.scheduling,
-                threads: obs.threads,
                 domain: obs.domain,
                 health: Some(HealthConfig::every_ms(interval)),
                 max_steps,
@@ -804,7 +707,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     let opts = EngineOptions {
                         trace: obs.engine_sink(None),
                         scheduling: obs.scheduling,
-                        threads: obs.threads,
                         domain: obs.domain,
                         health: obs.health,
                         ..Default::default()
@@ -863,7 +765,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 record_provenance: true,
                 trace: obs.engine_sink(None),
                 scheduling: obs.scheduling,
-                threads: obs.threads,
                 domain: obs.domain,
                 health: obs.health,
                 ..Default::default()
@@ -951,7 +852,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     let mut an = GroundnessAnalyzer::new();
                     an.profile = obs.profile;
                     an.options.scheduling = obs.scheduling;
-                    an.options.threads = obs.threads;
                     an.options.domain = obs.domain;
                     an.options.trace = obs.engine_sink(None);
                     an.options.health = obs.health;
@@ -1008,7 +908,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 let mut an = DepthKAnalyzer::new(k);
                 an.profile = obs.profile;
                 an.options.scheduling = obs.scheduling;
-                an.options.threads = obs.threads;
                 an.options.trace = obs.engine_sink(None);
                 an.options.health = obs.health;
                 an.analyze_with_entries(&program, &entries)
@@ -1069,7 +968,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let mut an = StrictnessAnalyzer::new();
             an.profile = obs.profile;
             an.options.scheduling = obs.scheduling;
-            an.options.threads = obs.threads;
             an.options.trace = obs.engine_sink(None);
             an.options.health = obs.health;
             let report = an.analyze_source(&src).map_err(|e| e.to_string())?;

@@ -819,40 +819,7 @@ fn progress_flag_is_silent_when_stderr_is_not_a_tty() {
     );
 }
 
-// ---- PR 8: parallel scheduler CLI surface -------------------------------
-
-#[test]
-fn threads_rejects_zero_and_non_numeric_values() {
-    let f = temp_file("graph_badthreads.pl", GRAPH);
-    let file = f.to_str().unwrap();
-    let (_, err, ok) = tablog(&[
-        "query",
-        file,
-        "path(a, X)",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "0",
-    ]);
-    assert!(!ok, "--threads 0 must be rejected");
-    assert!(err.contains("bad --threads value 0"), "{err}");
-    assert!(err.contains("at least 1"), "{err}");
-    let (_, err2, ok2) = tablog(&[
-        "query",
-        file,
-        "path(a, X)",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "two",
-    ]);
-    assert!(!ok2, "--threads two must be rejected");
-    assert!(err2.contains("bad --threads value two"), "{err2}");
-    assert!(err2.contains("positive integer"), "{err2}");
-    let (_, err3, ok3) = tablog(&["query", file, "path(a, X)", "--threads"]);
-    assert!(!ok3, "a bare --threads must be rejected");
-    assert!(err3.contains("--threads requires a worker count"), "{err3}");
-}
+// ---- scheduler CLI surface ----------------------------------------------
 
 #[test]
 fn scheduler_rejects_unknown_strategy_naming_all_values() {
@@ -865,392 +832,46 @@ fn scheduler_rejects_unknown_strategy_naming_all_values() {
         "local",
     ]);
     assert!(!ok, "an unknown scheduler must be rejected");
-    for name in ["depth_first", "breadth_first", "batched", "parallel"] {
+    for name in ["depth_first", "breadth_first", "batched"] {
         assert!(err.contains(name), "error must list {name}: {err}");
     }
+}
+
+#[test]
+fn scheduler_parallel_is_rejected_as_an_unknown_strategy() {
+    let f = temp_file("graph_parsched.pl", GRAPH);
+    let out = Command::new(env!("CARGO_BIN_EXE_tablog"))
+        .args([
+            "query",
+            f.to_str().unwrap(),
+            "path(a, X)",
+            "--scheduler",
+            "parallel",
+        ])
+        .output()
+        .expect("spawn tablog");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("unknown scheduling strategy `parallel`"),
+        "{err}"
+    );
+    assert!(
+        err.contains("expected depth_first, breadth_first, or batched"),
+        "{err}"
+    );
 }
 
 #[test]
 fn help_lists_every_scheduler_value_and_threads_flag() {
     let (out, _, ok) = tablog(&["help"]);
     assert!(ok);
-    for name in ["depth-first", "breadth-first", "batched", "parallel"] {
+    for name in ["depth-first", "breadth-first", "batched"] {
         assert!(out.contains(name), "help must list {name}: {out}");
     }
-    assert!(out.contains("--threads"), "help must list --threads: {out}");
-}
-
-#[test]
-fn query_parallel_scheduler_matches_sequential_answers() {
-    let f = temp_file("graph_par.pl", GRAPH);
-    let file = f.to_str().unwrap();
-    let (seq, _, ok1) = tablog(&["query", file, "path(X, Y)"]);
-    let (par, err, ok2) = tablog(&[
-        "query",
-        file,
-        "path(X, Y)",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "4",
-    ]);
-    assert!(ok1 && ok2, "{err}");
-    let sort = |s: &str| {
-        let mut v: Vec<&str> = s.lines().collect();
-        v.sort_unstable();
-        v.join("\n")
-    };
-    assert_eq!(sort(&seq), sort(&par), "parallel answers must match");
-}
-
-#[test]
-fn stats_json_reports_parallel_scheduler_and_threads() {
-    let f = temp_file("graph_parstats.pl", GRAPH);
-    let (out, err, ok) = tablog(&[
-        "stats",
-        f.to_str().unwrap(),
-        "path(a, X)",
-        "--json",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "2",
-    ]);
-    assert!(ok, "{err}");
-    let v = tablog_trace::json::parse(out.trim()).expect("valid JSON");
-    let engine = v.get("engine").expect("engine object in stats --json");
-    assert_eq!(
-        engine.get("scheduler").and_then(|s| s.as_str()),
-        Some("parallel"),
-        "{out}"
-    );
-    assert!(
-        out.contains("\"threads\":\"2\"") || out.contains("\"threads\": \"2\""),
-        "options header must record the worker count: {out}"
-    );
-}
-
-// ---- PR 10: parallel observatory ----------------------------------------
-
-/// Independent SCCs feeding a `join` layer: enough parallel structure that
-/// a 4-worker run reliably crosses worker boundaries.
-const PAR_CROSS: &str = "
-:- table path/2.
-:- table rpath/2.
-:- table apath/2.
-:- table join/2.
-path(X, Y) :- path(X, Z), edge(Z, Y).
-path(X, Y) :- edge(X, Y).
-rpath(X, Y) :- edge(Y, X).
-rpath(X, Y) :- rpath(X, Z), edge(Y, Z).
-apath(X, Y) :- path(X, Y).
-apath(X, Y) :- rpath(X, Y).
-join(X, Y) :- path(X, Z), rpath(Y, Z).
-join(X, Y) :- apath(X, Y), path(Y, X).
-edge(a, b). edge(b, c). edge(c, d). edge(d, a).
-edge(b, d). edge(d, b). edge(a, c).
-";
-
-#[test]
-fn threads_without_parallel_scheduler_is_an_error() {
-    let f = temp_file("graph_seqthreads.pl", GRAPH);
-    let file = f.to_str().unwrap();
-    let (_, err, ok) = tablog(&["query", file, "path(a, X)", "--threads", "2"]);
-    assert!(
-        !ok,
-        "--threads without --scheduler parallel must be rejected"
-    );
-    assert!(
-        err.contains("--threads requires --scheduler parallel"),
-        "{err}"
-    );
-    // Naming the scheduler explicitly as sequential is equally an error.
-    let (_, err2, ok2) = tablog(&[
-        "query",
-        file,
-        "path(a, X)",
-        "--scheduler",
-        "batched",
-        "--threads",
-        "2",
-    ]);
-    assert!(
-        !ok2,
-        "--threads with a sequential scheduler must be rejected"
-    );
-    assert!(
-        err2.contains("--threads requires --scheduler parallel"),
-        "{err2}"
-    );
-}
-
-#[test]
-fn workers_prints_load_table_and_scc_ownership() {
-    let f = temp_file("workers_cross.pl", PAR_CROSS);
-    let (out, err, ok) = tablog(&[
-        "workers",
-        f.to_str().unwrap(),
-        "join(X, Y)",
-        "--threads",
-        "2",
-    ]);
-    assert!(ok, "{err}");
-    assert!(out.contains("parallel run: 2 workers"), "{out}");
-    assert!(out.contains("imbalance"), "{out}");
-    assert!(out.contains("busy(ms)"), "{out}");
-    assert!(out.contains("scc ownership:"), "{out}");
-    assert!(out.contains("path/2"), "{out}");
-}
-
-#[test]
-fn workers_json_embeds_load_report() {
-    let f = temp_file("workers_json.pl", PAR_CROSS);
-    let (out, err, ok) = tablog(&[
-        "workers",
-        f.to_str().unwrap(),
-        "join(X, Y)",
-        "--threads",
-        "2",
-        "--json",
-    ]);
-    assert!(ok, "{err}");
-    let v = tablog_trace::json::parse(out.trim()).expect("workers --json emits valid JSON");
-    assert_eq!(
-        v.get("threads").and_then(|t| t.as_f64()),
-        Some(2.0),
-        "{out}"
-    );
-    assert_eq!(
-        v.get("pending_at_exit").and_then(|p| p.as_f64()),
-        Some(0.0),
-        "completed run must drain its credits: {out}"
-    );
-    let workers = v
-        .get("workers")
-        .and_then(|w| w.as_arr())
-        .expect("workers array");
-    assert_eq!(workers.len(), 2, "{out}");
-    for w in workers {
-        for key in [
-            "busy_ns",
-            "idle_ns",
-            "recv_wait_ns",
-            "dispatches",
-            "msgs_sent",
-        ] {
-            assert!(
-                w.get(key).and_then(|x| x.as_f64()).is_some(),
-                "missing {key} in {out}"
-            );
-        }
-    }
-    assert!(v.get("sccs").and_then(|s| s.as_arr()).is_some(), "{out}");
-    assert!(v.get("edges").and_then(|e| e.as_arr()).is_some(), "{out}");
-    assert!(
-        v.get("imbalance").and_then(|i| i.as_f64()).unwrap_or(0.0) >= 1.0,
-        "{out}"
-    );
-}
-
-#[test]
-fn workers_metrics_flag_writes_per_worker_openmetrics() {
-    let f = temp_file("workers_metrics.pl", PAR_CROSS);
-    let prom = std::env::temp_dir()
-        .join("tablog-cli-tests")
-        .join("workers.prom");
-    let (_, err, ok) = tablog(&[
-        "workers",
-        f.to_str().unwrap(),
-        "join(X, Y)",
-        "--threads",
-        "2",
-        "--metrics",
-        prom.to_str().unwrap(),
-    ]);
-    assert!(ok, "{err}");
-    assert!(err.contains("wrote"), "{err}");
-    let text = std::fs::read_to_string(&prom).expect("metrics file written");
-    tablog_trace::validate_openmetrics(&text)
-        .unwrap_or_else(|e| panic!("invalid OpenMetrics: {e}\n{text}"));
-    assert!(
-        text.contains("tablog_worker_msgs_sent{worker=\"0\"}"),
-        "{text}"
-    );
-    assert!(
-        text.contains("tablog_worker_tables{worker=\"1\"}"),
-        "{text}"
-    );
-    assert!(text.ends_with("# EOF\n"), "{text}");
-}
-
-#[test]
-fn stats_json_parallel_embeds_load_attribution() {
-    let f = temp_file("stats_par_report.pl", PAR_CROSS);
-    let (out, err, ok) = tablog(&[
-        "stats",
-        f.to_str().unwrap(),
-        "join(X, Y)",
-        "--json",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "2",
-    ]);
-    assert!(ok, "{err}");
-    let v = tablog_trace::json::parse(out.trim()).expect("valid JSON");
-    let par = v.get("parallel").expect("parallel object in stats --json");
-    assert_eq!(
-        par.get("threads").and_then(|t| t.as_f64()),
-        Some(2.0),
-        "{out}"
-    );
-    assert!(
-        par.get("workers")
-            .and_then(|w| w.as_arr())
-            .is_some_and(|w| w.len() == 2),
-        "{out}"
-    );
-    // Sequential runs must not grow the key.
-    let (seq, _, ok2) = tablog(&["stats", f.to_str().unwrap(), "join(X, Y)", "--json"]);
-    assert!(ok2);
-    let vs = tablog_trace::json::parse(seq.trim()).expect("valid JSON");
-    assert!(vs.get("parallel").is_none(), "{seq}");
-}
-
-#[test]
-fn timeline_parallel_emits_worker_lanes_and_flow_events() {
-    let f = temp_file("timeline_par.pl", PAR_CROSS);
-    let (out, err, ok) = tablog(&[
-        "timeline",
-        f.to_str().unwrap(),
-        "join(X, Y)",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "4",
-        "--counters",
-    ]);
-    assert!(ok, "{err}");
-    let v = tablog_trace::json::parse(out.trim()).expect("valid JSON");
-    let events = v
-        .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .expect("traceEvents array");
-    let with = |ph: &str, f: &dyn Fn(&tablog_trace::json::JsonValue) -> bool| {
-        events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some(ph))
-            .filter(|e| f(e))
-            .count()
-    };
-    // Every worker gets a named lane.
-    for w in 0..4 {
-        let name = format!("worker_{w}");
-        assert!(
-            with("M", &|e| {
-                e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(|n| n.as_str())
-                    == Some(&name)
-            }) > 0,
-            "missing thread_name lane for {name}: {err}"
-        );
-    }
-    // Spans land on worker lanes (tid >= 2), not only the engine lane.
-    assert!(
-        with("B", &|e| {
-            e.get("tid").and_then(|t| t.as_f64()).unwrap_or(0.0) >= 2.0
-        }) > 0,
-        "no spans attributed to worker lanes"
-    );
-    // Cross-worker traffic shows up as matched flow start/finish pairs.
-    let starts = with("s", &|_| true);
-    let finishes = with("f", &|_| true);
-    assert_eq!(starts, finishes, "unmatched flow events");
-    assert!(starts > 0, "no flow events on a cross-SCC 4-worker run");
-    // Per-worker counter tracks ride along with --counters.
-    assert!(
-        with("C", &|e| {
-            e.get("name")
-                .and_then(|n| n.as_str())
-                .is_some_and(|n| n.starts_with("worker") && n.ends_with(".msgs_sent"))
-        }) > 0,
-        "missing per-worker msgs_sent counter track"
-    );
-}
-
-#[test]
-fn provenance_downgrade_from_parallel_warns_on_stderr() {
-    let f = temp_file("forest_par.pl", GRAPH);
-    let (out, err, ok) = tablog(&[
-        "forest",
-        f.to_str().unwrap(),
-        "path(a, X)",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "2",
-        "--json",
-    ]);
-    assert!(ok, "{err}");
-    assert!(
-        err.contains("--record-provenance forces sequential evaluation"),
-        "downgrade must be loud: {err}"
-    );
-    // The forest itself is still produced by the sequential fallback.
-    tablog_trace::Forest::from_json(out.trim()).expect("forest JSON parses");
-}
-
-#[test]
-fn profile_folded_parallel_prefixes_worker_frames() {
-    let f = temp_file("graph_parfolded.pl", GRAPH);
-    let folded = std::env::temp_dir()
-        .join("tablog-cli-tests")
-        .join("profile_par.folded");
-    let (_, err, ok) = tablog(&[
-        "profile",
-        f.to_str().unwrap(),
-        "path(a, X)",
-        "--scheduler",
-        "parallel",
-        "--threads",
-        "2",
-        "--folded",
-        folded.to_str().unwrap(),
-    ]);
-    assert!(ok, "{err}");
-    let text = std::fs::read_to_string(&folded).expect("folded file written");
-    assert!(
-        text.lines().any(|l| l.starts_with("worker_0")),
-        "parallel stacks must be rooted in a worker frame: {text}"
-    );
-    // Engine work is attributed under some worker's frame.
-    assert!(
-        text.lines()
-            .any(|l| l.starts_with("worker_") && l.contains("dispatch:path/2")),
-        "{text}"
-    );
-    // The single-thread sequential layout is untouched: no worker frames.
-    let seq_out = std::env::temp_dir()
-        .join("tablog-cli-tests")
-        .join("profile_seq_check.folded");
-    let (_, err2, ok2) = tablog(&[
-        "profile",
-        f.to_str().unwrap(),
-        "path(a, X)",
-        "--folded",
-        seq_out.to_str().unwrap(),
-    ]);
-    assert!(ok2, "{err2}");
-    let seq_text = std::fs::read_to_string(&seq_out).expect("folded file written");
-    assert!(
-        !seq_text.contains("worker_"),
-        "sequential stacks must not grow worker frames: {seq_text}"
-    );
-    assert!(
-        seq_text.lines().any(|l| l.starts_with("evaluate")),
-        "{seq_text}"
-    );
+    // One sequential engine: no parallel strategy and no --threads flag.
+    assert!(!out.contains("parallel"), "{out}");
+    assert!(!out.contains("--threads"), "{out}");
 }
 
 #[test]
@@ -1297,5 +918,32 @@ fn direct_rejects_wide_predicates_under_both_backends() {
             err.contains("unsupported: predicate p/27 needs more than 26 Prop variables"),
             "{domain}: {err}"
         );
+    }
+}
+
+#[test]
+fn tabled_ground_rejects_wide_predicates_under_both_backends() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/wide.pl");
+    let entry = format!("p({})", vec!["f"; 27].join(","));
+    for domain in ["table", "bdd"] {
+        for extra in [&[][..], &["--entry", entry.as_str()][..]] {
+            let start = std::time::Instant::now();
+            let out = Command::new(env!("CARGO_BIN_EXE_tablog"))
+                .args(["ground", file, "--domain", domain])
+                .args(extra)
+                .output()
+                .expect("spawn tablog");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{domain} {extra:?}: {err}");
+            assert!(
+                err.contains("unsupported: predicate p/27 needs more than 26 Prop variables"),
+                "{domain} {extra:?}: {err}"
+            );
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(5),
+                "{domain} {extra:?}: took {:?}",
+                start.elapsed()
+            );
+        }
     }
 }

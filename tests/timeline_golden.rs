@@ -14,9 +14,9 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use tablog_engine::{Engine, EngineOptions, LoadMode, MetricsRegistry, Scheduling};
+use tablog_engine::{Engine, EngineOptions, LoadMode, MetricsRegistry};
 use tablog_trace::json::{parse, JsonValue};
-use tablog_trace::{chrome_trace, chrome_trace_with_flows, CHROME_COUNTER_TRACKS};
+use tablog_trace::{chrome_trace, CHROME_COUNTER_TRACKS};
 
 const GOAL: &str = "gp_ap(X, Y, Z)";
 
@@ -98,132 +98,6 @@ fn figure1_timeline_structure_matches_golden_file() {
 #[test]
 fn timeline_structure_is_deterministic_across_runs() {
     assert_eq!(fingerprint(&figure1_trace()), fingerprint(&figure1_trace()));
-}
-
-// ---- PR 10: the two-worker parallel layout ------------------------------
-
-/// Runs Figure 1 under the parallel scheduler with two workers and exports
-/// the trace exactly as `tablog timeline --scheduler parallel` does.
-///
-/// Figure 1 has a single tabled SCC, which the first-touch claim hands to
-/// worker 0 (ties prefer the caller), so the run exchanges no messages and
-/// every worker's event stream is deterministic — making it the one
-/// parallel configuration whose layout a golden file can pin.
-fn figure1_parallel_trace() -> String {
-    let registry = Arc::new(MetricsRegistry::new());
-    let opts = EngineOptions {
-        trace: Some(registry.clone() as Arc<dyn tablog_trace::TraceSink>),
-        record_spans: true,
-        record_counters: true,
-        scheduling: Scheduling::Parallel,
-        threads: 2,
-        ..Default::default()
-    };
-    let engine = Engine::from_source_with(&figure1_source(), LoadMode::Dynamic, opts)
-        .expect("figure 1 loads");
-    let mut b = tablog_term::Bindings::new();
-    let (g, _) = tablog_syntax::parse_term(GOAL, &mut b).expect("goal parses");
-    let eval = engine.evaluate(&[g], &[], &b).expect("figure 1 evaluates");
-    let flows = eval
-        .parallel_report()
-        .map_or(&[][..], |p| p.flows.as_slice());
-    chrome_trace_with_flows(
-        &registry.spans().snapshot(),
-        &registry.counters().samples(),
-        flows,
-    )
-}
-
-/// The lane-grouped timestamp-free projection of a parallel trace: one
-/// section per `tid` in ascending order, opened by the lane's
-/// `thread_name`, followed by that lane's span/counter events in emission
-/// order. Grouping by lane removes the only racy axis (cross-lane event
-/// interleaving in the shared sink); within a lane each worker is single-
-/// threaded, so its sequence is exact.
-fn lane_fingerprint(doc: &str) -> String {
-    let v = parse(doc).expect("chrome trace parses");
-    let events = v
-        .get("traceEvents")
-        .and_then(JsonValue::as_arr)
-        .expect("traceEvents array");
-    let tid_of = |e: &JsonValue| e.get("tid").and_then(JsonValue::as_f64).unwrap_or(0.0) as i64;
-    let mut tids: Vec<i64> = events.iter().map(tid_of).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    let mut out = String::new();
-    let mut flow_count = 0usize;
-    for tid in tids {
-        let mut header = format!("lane {tid}");
-        for e in events.iter().filter(|e| tid_of(e) == tid) {
-            let ph = e.get("ph").and_then(JsonValue::as_str).unwrap_or("");
-            if ph == "M" && e.get("name").and_then(JsonValue::as_str) == Some("thread_name") {
-                let name = e
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?");
-                header.push_str(&format!(" {name}"));
-            }
-        }
-        out.push_str(&header);
-        out.push('\n');
-        for e in events.iter().filter(|e| tid_of(e) == tid) {
-            let str_of = |key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_owned);
-            let ph = str_of("ph").expect("every event has ph");
-            if ph == "s" || ph == "f" {
-                flow_count += 1;
-                continue;
-            }
-            if ph == "M" {
-                continue;
-            }
-            let name = str_of("name").expect("every event has name");
-            out.push_str(&format!("  {ph} {name}"));
-            if let Some(args) = e.get("args") {
-                for key in ["pred", "value", "expands", "returns"] {
-                    if let Some(val) = args.get(key) {
-                        match (val.as_str(), val.as_f64()) {
-                            (Some(s), _) => out.push_str(&format!(" {key}={s}")),
-                            (None, Some(n)) => out.push_str(&format!(" {key}={n}")),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            out.push('\n');
-        }
-    }
-    out.push_str(&format!("flows {flow_count}\n"));
-    out
-}
-
-fn parallel_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/figure1_parallel_timeline.txt")
-}
-
-#[test]
-fn figure1_two_worker_timeline_layout_matches_golden_file() {
-    let got = lane_fingerprint(&figure1_parallel_trace());
-    let path = parallel_golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
-    let want =
-        std::fs::read_to_string(&path).expect("golden file exists (UPDATE_GOLDEN=1 to create)");
-    assert_eq!(
-        got, want,
-        "parallel timeline layout drifted from the golden file; \
-         re-bless with UPDATE_GOLDEN=1 if the change is intentional"
-    );
-}
-
-#[test]
-fn parallel_timeline_layout_is_deterministic_across_runs() {
-    assert_eq!(
-        lane_fingerprint(&figure1_parallel_trace()),
-        lane_fingerprint(&figure1_parallel_trace())
-    );
 }
 
 #[test]
