@@ -9,13 +9,13 @@
 //! spreads come from the `e2e` benchmark (`src/bin/e2e/`), not from here.
 
 use std::time::{Duration, Instant};
-use tablog_core::depthk::DepthKAnalyzer;
+use tablog_core::depthk::{DepthKAnalyzer, DepthKResult};
 use tablog_core::direct::DirectAnalyzer;
-use tablog_core::groundness::{compile_time, EntryPoint, GroundnessAnalyzer};
-use tablog_core::strictness::StrictnessAnalyzer;
+use tablog_core::groundness::{compile_time, EntryPoint, GroundnessAnalyzer, GroundnessResult};
+use tablog_core::strictness::{StrictnessAnalyzer, StrictnessResult};
+use tablog_core::{run, Analysis, Input};
 use tablog_engine::{LoadMode, MetricsReport};
-use tablog_suite::{depthk_benchmarks, fun_benchmarks, logic_benchmarks};
-use tablog_syntax::parse_program;
+use tablog_suite::{depthk_benchmarks, fun_benchmarks, logic_benchmarks, LogicBenchmark};
 
 /// One row of a paper table.
 #[derive(Clone, Debug)]
@@ -54,6 +54,48 @@ impl Row {
     }
 }
 
+/// One row per `(name, lines, source, entry)` benchmark: `analysis` runs
+/// on the source text (so preprocessing includes the read), from the entry
+/// when there is one; `table_bytes` reads the result's table space and
+/// `compile` measures the plain compilation baseline.
+fn rows<'a, A: Analysis>(
+    analysis: &A,
+    benchmarks: impl IntoIterator<Item = (&'a str, usize, &'a str, Option<&'a str>)>,
+    table_bytes: fn(&A::Result) -> usize,
+    compile: fn(&str) -> Duration,
+) -> Vec<Row> {
+    benchmarks
+        .into_iter()
+        .map(|(name, lines, source, entry)| {
+            let entries: Vec<EntryPoint> = entry
+                .map(|e| EntryPoint::parse(e).expect("suite entries parse"))
+                .into_iter()
+                .collect();
+            let report = run(analysis, Input::Source(source), &entries).expect("suite analyzes");
+            Row {
+                program: name.to_owned(),
+                lines,
+                preprocess: report.timings.preprocess,
+                analysis: report.timings.analysis,
+                collection: report.timings.collection,
+                compile: compile(source),
+                table_bytes: table_bytes(&report),
+                metrics: report.metrics,
+            }
+        })
+        .collect()
+}
+
+fn logic(benchmarks: &[LogicBenchmark]) -> impl Iterator<Item = (&str, usize, &str, Option<&str>)> {
+    benchmarks
+        .iter()
+        .map(|b| (b.name, b.lines(), b.source, Some(b.entry)))
+}
+
+fn compile_dynamic(src: &str) -> Duration {
+    compile_time(src, LoadMode::Dynamic).expect("compiles")
+}
+
 /// Runs the Table 1 workload: Prop groundness, goal-directed from each
 /// benchmark's entry point, dynamic loading, builtin `iff`. With `profile`,
 /// each row carries the engine's per-predicate metrics.
@@ -63,28 +105,16 @@ impl Row {
 /// Panics if a benchmark fails to parse or analyze — the integration test
 /// suite guards against that.
 pub fn table1_rows(profile: bool) -> Vec<Row> {
-    logic_benchmarks()
-        .iter()
-        .map(|b| {
-            let program = parse_program(b.source).expect("suite parses");
-            let entry = EntryPoint::parse(b.entry).expect("suite entries parse");
-            let mut an = GroundnessAnalyzer::new();
-            an.profile = profile;
-            let report = an
-                .analyze_with_entries(&program, std::slice::from_ref(&entry))
-                .expect("suite analyzes");
-            Row {
-                program: b.name.to_owned(),
-                lines: b.lines(),
-                preprocess: report.timings.preprocess,
-                analysis: report.timings.analysis,
-                collection: report.timings.collection,
-                compile: compile_time(b.source, LoadMode::Dynamic).expect("compiles"),
-                table_bytes: report.table_bytes(),
-                metrics: report.metrics,
-            }
-        })
-        .collect()
+    let an = GroundnessAnalyzer {
+        profile,
+        ..GroundnessAnalyzer::new()
+    };
+    rows(
+        &an,
+        logic(&logic_benchmarks()),
+        GroundnessResult::table_bytes,
+        compile_dynamic,
+    )
 }
 
 /// One comparison row of Table 2: total time on the tabled engine vs. the
@@ -105,24 +135,16 @@ pub struct VsRow {
 ///
 /// As [`table1_rows`].
 pub fn table2_rows() -> Vec<VsRow> {
-    logic_benchmarks()
-        .iter()
-        .map(|b| {
-            let program = parse_program(b.source).expect("suite parses");
-            let entry = EntryPoint::parse(b.entry).expect("entries parse");
-            let tabled = GroundnessAnalyzer::new()
-                .analyze_with_entries(&program, std::slice::from_ref(&entry))
-                .expect("tabled analyzes");
-            let direct = DirectAnalyzer::new()
-                .analyze_with_entries(&program, std::slice::from_ref(&entry))
-                .expect("direct analyzes");
-            VsRow {
-                program: b.name.to_owned(),
-                tabled: tabled.timings.total(),
-                direct: direct.timings.total(),
-            }
-        })
-        .collect()
+    let suite = logic_benchmarks();
+    let none = |_: &str| Duration::ZERO;
+    let tabled = rows(&GroundnessAnalyzer::new(), logic(&suite), |_| 0, none);
+    let direct = rows(&DirectAnalyzer::new(), logic(&suite), |_| 0, none);
+    let vs = |(t, d): (Row, Row)| VsRow {
+        tabled: t.total(),
+        direct: d.total(),
+        program: t.program,
+    };
+    tabled.into_iter().zip(direct).map(vs).collect()
 }
 
 /// Runs the Table 3 workload: strictness analysis of the functional suite.
@@ -134,34 +156,24 @@ pub fn table2_rows() -> Vec<VsRow> {
 ///
 /// As [`table1_rows`].
 pub fn table3_rows(profile: bool) -> Vec<Row> {
-    fun_benchmarks()
+    let an = StrictnessAnalyzer {
+        profile,
+        ..StrictnessAnalyzer::new()
+    };
+    let benchmarks = fun_benchmarks();
+    let suite = benchmarks
         .iter()
-        .map(|b| {
-            let mut an = StrictnessAnalyzer::new();
-            an.profile = profile;
-            let report = an.analyze_source(b.source).expect("suite analyzes");
-            // Compile proxy: parse + translate + load, no evaluation.
-            let t = Instant::now();
-            let prog = tablog_funlang::parse_fun_program(b.source).expect("parses");
-            let rules = tablog_core::strictness::translate_program(&prog).expect("translates");
-            let mut db = tablog_engine::Database::new(LoadMode::Dynamic);
-            for r in &rules {
-                db.assert_clause(r.head.clone(), r.body.clone())
-                    .expect("loads");
-            }
-            let compile = t.elapsed();
-            Row {
-                program: b.name.to_owned(),
-                lines: b.lines(),
-                preprocess: report.timings.preprocess,
-                analysis: report.timings.analysis,
-                collection: report.timings.collection,
-                compile,
-                table_bytes: report.table_bytes(),
-                metrics: report.metrics,
-            }
-        })
-        .collect()
+        .map(|b| (b.name, b.lines(), b.source, None));
+    rows(&an, suite, StrictnessResult::table_bytes, |src| {
+        let t = Instant::now();
+        let prog = tablog_funlang::parse_fun_program(src).expect("parses");
+        let rules = tablog_core::strictness::translate_program(&prog).expect("translates");
+        let mut db = tablog_engine::Database::new(LoadMode::Dynamic);
+        for r in rules {
+            db.assert_clause(r.head, r.body).expect("loads");
+        }
+        t.elapsed()
+    })
 }
 
 /// The truncation depth the Table 4 harness uses.
@@ -175,28 +187,16 @@ pub const TABLE4_K: usize = 1;
 ///
 /// As [`table1_rows`].
 pub fn table4_rows(profile: bool) -> Vec<Row> {
-    depthk_benchmarks()
-        .iter()
-        .map(|b| {
-            let program = parse_program(b.source).expect("suite parses");
-            let entry = EntryPoint::parse(b.entry).expect("entries parse");
-            let mut an = DepthKAnalyzer::new(TABLE4_K);
-            an.profile = profile;
-            let report = an
-                .analyze_with_entries(&program, std::slice::from_ref(&entry))
-                .expect("depth-k analyzes");
-            Row {
-                program: b.name.to_owned(),
-                lines: b.lines(),
-                preprocess: report.timings.preprocess,
-                analysis: report.timings.analysis,
-                collection: report.timings.collection,
-                compile: compile_time(b.source, LoadMode::Dynamic).expect("compiles"),
-                table_bytes: report.table_bytes(),
-                metrics: report.metrics,
-            }
-        })
-        .collect()
+    let an = DepthKAnalyzer {
+        profile,
+        ..DepthKAnalyzer::new(TABLE4_K)
+    };
+    rows(
+        &an,
+        logic(&depthk_benchmarks()),
+        DepthKResult::table_bytes,
+        compile_dynamic,
+    )
 }
 
 /// Formats a duration in fractional milliseconds.

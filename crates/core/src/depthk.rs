@@ -13,18 +13,22 @@
 //! Section-6.1 hooks: calls and answers are widened by depth-k truncation
 //! before entering the tables.
 
-use crate::error::AnalysisError;
-use crate::groundness::{expand_disjunctions, EntryPoint};
-use crate::pipeline::{PhaseTimings, Timer};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use tablog_engine::{Database, Engine, EngineOptions, LoadMode, TableStats, GAMMA};
-use tablog_magic::Rule;
-use tablog_syntax::{parse_program, Program};
-use tablog_term::{
-    atom, intern, structure, sym_name, Bindings, CanonicalTerm, Functor, Term, TermArena, Var,
+use crate::analysis::{
+    build, explain_tabled, functor, run, summary, Analysis, Input, Outcome, Run, Tabled,
 };
-use tablog_trace::MetricsReport;
+use crate::error::AnalysisError;
+use crate::explain::AnalysisExplanation;
+use crate::groundness::{expand_disjunctions, EntryPoint, PredSet};
+use crate::pipeline::PhaseTimings;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
+use tablog_engine::{EngineOptions, Evaluation, LoadMode, TableStats, GAMMA};
+use tablog_magic::Rule;
+use tablog_syntax::{parse_program, term_to_string, Program};
+use tablog_term::{
+    atom, intern, structure, sym_name, sym_str, CanonicalTerm, Term, TermArena, Var,
+};
 
 /// Name prefix of depth-k abstract predicates.
 pub const AK_PREFIX: &str = "ak$";
@@ -44,25 +48,25 @@ pub struct PredDepthK {
     pub call_patterns: Vec<Vec<Term>>,
 }
 
-/// The complete result of a depth-k analysis run.
+/// The collected result of a depth-k analysis run; see [`DepthKReport`].
 #[derive(Clone, Debug)]
-pub struct DepthKReport {
+pub struct DepthKResult {
     preds: BTreeMap<(String, usize), PredDepthK>,
-    /// Phase timings.
-    pub timings: PhaseTimings,
     /// Engine statistics, including table space.
     pub stats: TableStats,
     /// Counters of the evaluation's session arena: every call, answer and
     /// derivation node interned during the run.
     pub arena: tablog_term::ArenaStats,
-    /// Per-predicate engine metrics; present iff the analyzer's
-    /// [`profile`](DepthKAnalyzer::profile) flag was set. Includes the
-    /// `calls_abstracted` / `answers_widened` counts from the depth-k
-    /// truncation hooks.
-    pub metrics: Option<MetricsReport>,
 }
 
-impl DepthKReport {
+/// The complete report of a depth-k analysis run. Its
+/// [`metrics`](Run::metrics) are present iff the analyzer's
+/// [`profile`](DepthKAnalyzer::profile) flag was set, and include the
+/// `calls_abstracted` / `answers_widened` counts from the depth-k
+/// truncation hooks.
+pub type DepthKReport = Run<DepthKResult>;
+
+impl DepthKResult {
     /// Result for one predicate.
     pub fn result(&self, name: &str, arity: usize) -> Option<&PredDepthK> {
         self.preds.get(&(name.to_owned(), arity))
@@ -79,6 +83,27 @@ impl DepthKReport {
     }
 }
 
+impl Outcome for DepthKResult {
+    fn render(&self, timings: &PhaseTimings) -> String {
+        let mut out = String::new();
+        for p in self.predicates() {
+            let _ = writeln!(
+                out,
+                "{}/{}: ground={:?}",
+                p.name, p.arity, p.definitely_ground
+            );
+            for row in p.answers.iter().take(8) {
+                let rendered: Vec<String> = row.iter().map(term_to_string).collect();
+                let _ = writeln!(out, "    ({})", rendered.join(", "));
+            }
+            if p.answers.len() > 8 {
+                let _ = writeln!(out, "    … {} more", p.answers.len() - 8);
+            }
+        }
+        out + &summary(timings, self.table_bytes())
+    }
+}
+
 /// The depth-k analyzer.
 #[derive(Clone, Debug)]
 pub struct DepthKAnalyzer {
@@ -89,7 +114,7 @@ pub struct DepthKAnalyzer {
     /// Base engine options; the analyzer installs its own table hooks.
     pub options: EngineOptions,
     /// Collect per-predicate engine metrics and phase timings into
-    /// [`DepthKReport::metrics`].
+    /// [`Run::metrics`].
     pub profile: bool,
 }
 
@@ -119,9 +144,7 @@ impl DepthKAnalyzer {
     ///
     /// Returns parse, transformation, or engine errors.
     pub fn analyze_source(&self, src: &str) -> Result<DepthKReport, AnalysisError> {
-        let mut timer = Timer::start();
-        let program = parse_program(src)?;
-        self.analyze(&program, &[], timer.lap())
+        run(self, Input::Source(src), &[])
     }
 
     /// Analyzes a parsed program with fully open calls.
@@ -130,7 +153,7 @@ impl DepthKAnalyzer {
     ///
     /// Returns transformation or engine errors.
     pub fn analyze_program(&self, program: &Program) -> Result<DepthKReport, AnalysisError> {
-        self.analyze(program, &[], std::time::Duration::ZERO)
+        run(self, Input::Parsed(program), &[])
     }
 
     /// Goal-directed analysis: entry arguments marked ground become γ.
@@ -143,63 +166,28 @@ impl DepthKAnalyzer {
         program: &Program,
         entries: &[EntryPoint],
     ) -> Result<DepthKReport, AnalysisError> {
-        self.analyze(program, entries, std::time::Duration::ZERO)
+        run(self, Input::Parsed(program), entries)
+    }
+}
+
+impl Analysis for DepthKAnalyzer {
+    type Program = Program;
+    type Abstract = Tabled;
+    type Plan = PredSet;
+    type Result = DepthKResult;
+    type Explanation = AnalysisExplanation;
+
+    fn parse(src: &str) -> Result<Program, AnalysisError> {
+        Ok(parse_program(src)?)
     }
 
-    /// Builds the abstract database: transformed rules, tabling
-    /// declarations, and the `$dk` driver clauses. Shared by
-    /// [`analyze`](DepthKAnalyzer::analyze_program) and
-    /// [`explain`](DepthKAnalyzer::explain).
-    fn load_abstract(
-        &self,
-        program: &Program,
-        entries: &[EntryPoint],
-    ) -> Result<(Database, crate::groundness::PredSet), AnalysisError> {
-        let (rules, preds) = transform_depthk(program)?;
-        let mut db = Database::new(self.load_mode);
-        for r in &rules {
-            db.assert_clause(r.head.clone(), r.body.clone())?;
-        }
-        for &(name, arity) in preds.keys() {
-            db.set_tabled(ak_functor(name, arity), true);
-        }
-        let mut b = Bindings::new();
-        if entries.is_empty() {
-            for &(name, arity) in preds.keys() {
-                let args: Vec<Term> = (0..arity).map(|_| Term::Var(b.fresh_var())).collect();
-                db.assert_clause(atom("$dk"), vec![build(ak_functor(name, arity), args)])?;
-            }
-        } else {
-            for e in entries {
-                let args: Vec<Term> = e
-                    .ground_args
-                    .iter()
-                    .map(|&g| {
-                        if g {
-                            atom(GAMMA)
-                        } else {
-                            Term::Var(b.fresh_var())
-                        }
-                    })
-                    .collect();
-                db.assert_clause(
-                    atom("$dk"),
-                    vec![build(
-                        ak_functor(intern(&e.name), e.ground_args.len()),
-                        args,
-                    )],
-                )?;
-            }
-        }
-        if self.load_mode == LoadMode::Compiled {
-            db.build_indexes();
-        }
-        Ok((db, preds))
+    fn profile(&self) -> bool {
+        self.profile
     }
 
     /// The analyzer's engine options with the depth-k truncation hooks
     /// installed as call abstraction and answer widening.
-    fn hooked_options(&self) -> EngineOptions {
+    fn options(&self) -> EngineOptions {
         let mut opts = self.options.clone();
         let k = self.k;
         // Subterms below the cut become γ if ground, a fresh variable
@@ -213,73 +201,30 @@ impl DepthKAnalyzer {
         opts
     }
 
-    /// Explains one depth-k answer: maps `goal` — a source-level call whose
-    /// arguments are depth-k terms (write `g` for γ, the all-ground-terms
-    /// constant) or variables — onto the abstract predicate `ak$p` and
-    /// returns the justification trees of every matching abstract answer,
-    /// evaluated with the truncation hooks in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse, transformation, or engine errors.
-    pub fn explain(
-        &self,
-        program: &Program,
-        goal: &str,
-        max_depth: usize,
-    ) -> Result<crate::explain::AnalysisExplanation, AnalysisError> {
-        let mut b = Bindings::new();
-        let (t, _) = tablog_syntax::parse_term(goal, &mut b)
-            .map_err(|e| AnalysisError::Parse(e.to_string()))?;
-        let f = t
-            .functor()
-            .ok_or_else(|| AnalysisError::Parse(format!("bad goal {goal}")))?;
-        let args: Vec<Term> = t
-            .args()
-            .iter()
-            .map(|a| match a {
-                Term::Atom(s) if sym_name(*s) == "g" => atom(GAMMA),
-                other => other.clone(),
-            })
-            .collect();
-        let (db, _) = self.load_abstract(program, &[])?;
-        let engine = Engine::new(db, self.hooked_options());
-        let abstract_term = build(ak_functor(f.name, f.arity), args);
-        crate::explain::explain_abstract(&engine, goal, &abstract_term, &b, max_depth)
-    }
-
-    fn analyze(
+    /// The transformed rules, tabling declarations, and the `$dk` driver
+    /// clauses.
+    fn load(
         &self,
         program: &Program,
         entries: &[EntryPoint],
-        parse_time: std::time::Duration,
-    ) -> Result<DepthKReport, AnalysisError> {
-        let mut timer = Timer::start();
-        // --- Preprocess. ---
-        let (db, preds) = self.load_abstract(program, entries)?;
-        let mut opts = self.hooked_options();
-        let registry = self
-            .profile
-            .then(|| crate::profile::install_registry(&mut opts));
-        let mut spans = crate::profile::PhaseSpans::from_options(&opts);
-        let mut engine = Engine::new(db, opts);
-        let preprocess = parse_time + timer.lap();
+    ) -> Result<(Tabled, PredSet), AnalysisError> {
+        let (rules, preds) = transform_depthk(program)?;
+        let tabled = Tabled::load_logic(
+            self.load_mode,
+            rules,
+            &preds,
+            AK_PREFIX,
+            GAMMA,
+            "$dk",
+            entries,
+        )?;
+        Ok((tabled, preds))
+    }
 
-        // --- Analysis. ---
-        engine.options_mut().parent_span = spans.enter("analysis");
-        let qb = Bindings::new();
-        let eval = engine
-            .evaluate(&[atom("$dk")], &[], &qb)?
-            .require_complete()?;
-        spans.exit();
-        let analysis = timer.lap();
-
-        // --- Collection. ---
-        spans.enter("collection");
+    fn collect(&self, _: &Program, preds: PredSet, eval: &mut Evaluation) -> DepthKResult {
         let mut out = BTreeMap::new();
         for &(name, arity) in preds.keys() {
-            let f = ak_functor(name, arity);
-            let views = eval.subgoals_of(f);
+            let views = eval.subgoals_of(functor(AK_PREFIX, name, arity));
             let mut answers: Vec<Vec<Term>> = Vec::new();
             let mut call_patterns = Vec::new();
             for v in &views {
@@ -305,44 +250,34 @@ impl DepthKAnalyzer {
                 },
             );
         }
-        spans.exit();
-        let collection = timer.lap();
-
-        let timings = PhaseTimings {
-            preprocess,
-            analysis,
-            collection,
-        };
-        let metrics = registry.map(|r| {
-            crate::profile::finish(
-                &r,
-                &timings,
-                engine.options().describe(),
-                Some(crate::profile::engine_snapshot(&eval, self.options.domain)),
-            )
-        });
-        Ok(DepthKReport {
+        DepthKResult {
             preds: out,
-            timings,
             stats: eval.stats(),
             arena: eval.arena().stats(),
-            metrics,
+        }
+    }
+
+    /// Explains one depth-k answer: maps `goal` — a source-level call whose
+    /// arguments are depth-k terms (write `g` for γ, the all-ground-terms
+    /// constant) or variables — onto the abstract predicate `ak$p` and
+    /// returns the justification trees of every matching abstract answer,
+    /// evaluated with the truncation hooks in place.
+    fn explain(
+        &self,
+        program: &Program,
+        goal: &str,
+        max_depth: usize,
+    ) -> Result<AnalysisExplanation, AnalysisError> {
+        explain_tabled(self, program, goal, max_depth, |f, args, _| {
+            let args = args
+                .iter()
+                .map(|a| match a {
+                    Term::Atom(s) if sym_str(*s) == "g" => atom(GAMMA),
+                    other => other.clone(),
+                })
+                .collect();
+            Ok(build(functor(AK_PREFIX, f.name, f.arity), args))
         })
-    }
-}
-
-fn ak_functor(name: tablog_term::Sym, arity: usize) -> Functor {
-    Functor {
-        name: intern(&format!("{AK_PREFIX}{}", sym_name(name))),
-        arity,
-    }
-}
-
-fn build(f: Functor, args: Vec<Term>) -> Term {
-    if args.is_empty() {
-        Term::Atom(f.name)
-    } else {
-        Term::Struct(f.name, args.into())
     }
 }
 
@@ -353,10 +288,8 @@ fn build(f: Functor, args: Vec<Term>) -> Term {
 /// # Errors
 ///
 /// Returns [`AnalysisError::Unsupported`] on malformed clause heads.
-pub fn transform_depthk(
-    program: &Program,
-) -> Result<(Vec<Rule>, crate::groundness::PredSet), AnalysisError> {
-    let mut preds: crate::groundness::PredSet = BTreeMap::new();
+pub fn transform_depthk(program: &Program) -> Result<(Vec<Rule>, PredSet), AnalysisError> {
+    let mut preds: PredSet = BTreeMap::new();
     for c in &program.clauses {
         let f = c
             .head
@@ -370,7 +303,6 @@ pub fn transform_depthk(
     for c in &program.clauses {
         let f = c.head.functor().expect("checked above");
         for alt in expand_disjunctions(&c.body) {
-            let mut next_var = (c.nvars + f.arity) as u32;
             let head_vars: Vec<Term> = (0..f.arity)
                 .map(|i| Term::Var(Var((c.nvars + i) as u32)))
                 .collect();
@@ -380,14 +312,14 @@ pub fn transform_depthk(
             }
             let mut dead = false;
             for goal in &alt {
-                if !abstract_goal(goal, &defined, &mut body, &mut next_var) {
+                if !abstract_goal(goal, &defined, &mut body) {
                     dead = true;
                     break;
                 }
             }
             if !dead {
                 rules.push(Rule::new(
-                    build(ak_functor(f.name, f.arity), head_vars),
+                    build(functor(AK_PREFIX, f.name, f.arity), head_vars),
                     body,
                 ));
             }
@@ -402,7 +334,6 @@ fn abstract_goal(
     goal: &Term,
     defined: &std::collections::HashSet<(tablog_term::Sym, usize)>,
     out: &mut Vec<Term>,
-    _next_var: &mut u32,
 ) -> bool {
     let Some(f) = goal.functor() else {
         return true; // variable meta-call: no information
@@ -450,14 +381,14 @@ fn abstract_goal(
         | ("=..", 2) => true,
         ("call", 1) => {
             if args[0].functor().is_some() && !args[0].is_var() {
-                abstract_goal(&args[0], defined, out, _next_var)
+                abstract_goal(&args[0], defined, out)
             } else {
                 true
             }
         }
         _ => {
             if defined.contains(&(f.name, f.arity)) {
-                out.push(build(ak_functor(f.name, f.arity), args.to_vec()));
+                out.push(build(functor(AK_PREFIX, f.name, f.arity), args.to_vec()));
             }
             // Unknown predicates: assume success, no bindings.
             true

@@ -15,15 +15,21 @@
 //! default) or on BDD-backed Pos ([`tablog_domain::BddDomain`]); pick the
 //! backend with [`DirectAnalyzer::domain`].
 
+use crate::analysis::{functor, run, Analysis, Explained, Input, Outcome, Run, Solve};
 use crate::error::AnalysisError;
-use crate::groundness::{check_arity, transform_program, EntryPoint, IffMode, GP_PREFIX};
-use crate::pipeline::{PhaseTimings, Timer};
+use crate::groundness::{
+    check_arity, render_domain, transform_program, EntryPoint, IffMode, PredSet, GP_PREFIX,
+};
+use crate::pipeline::PhaseTimings;
 use crate::prop::{PropTable, MAX_VARS};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use tablog_domain::{AbstractDomain, BddDomain, DomainKind, TableDomain};
+use tablog_engine::EngineOptions;
 use tablog_syntax::{parse_program, Program};
 use tablog_term::{sym_name, Functor, Term};
-use tablog_trace::{MetricsReport, PredStats, SpanEmitter, SpanRecorder};
+use tablog_trace::{MetricsReport, PredStats, TraceSink};
 
 /// An abstract clause compiled to a fixed schedule of domain operations.
 ///
@@ -94,22 +100,14 @@ pub struct DirectGroundness {
     pub definitely_ground: Vec<bool>,
 }
 
-/// The complete result of a direct-analyzer run.
+/// The collected result of a direct-analyzer run; see [`DirectReport`].
 #[derive(Clone, Debug)]
-pub struct DirectReport {
+pub struct DirectResult {
     preds: BTreeMap<(String, usize), DirectGroundness>,
-    /// Phase timings (preprocess / analysis / collection).
-    pub timings: PhaseTimings,
     /// Number of `(predicate, call pattern)` pairs analyzed.
     pub pairs: usize,
     /// Worklist iterations performed.
     pub iterations: usize,
-    /// Per-predicate metrics; present iff the analyzer's
-    /// [`profile`](DirectAnalyzer::profile) flag was set. The direct
-    /// analyzer has no engine, so the rows are built from its own worklist
-    /// counters: `subgoals` = call patterns, `clause_resolutions` = clause
-    /// evaluations, `completed` = pairs solved to fixpoint.
-    pub metrics: Option<MetricsReport>,
     /// The Prop-domain backend the analysis ran on.
     pub domain: DomainKind,
     /// Bytes attributed to the domain backend itself (BDD manager arena
@@ -120,7 +118,15 @@ pub struct DirectReport {
     pub bdd_nodes: usize,
 }
 
-impl DirectReport {
+/// The complete report of a direct-analyzer run. Its
+/// [`metrics`](Run::metrics) are present iff the analyzer's
+/// [`profile`](DirectAnalyzer::profile) flag was set. The direct analyzer
+/// has no engine, so their rows are built from its own worklist counters:
+/// `subgoals` = call patterns, `clause_resolutions` = clause evaluations,
+/// `completed` = pairs solved to fixpoint.
+pub type DirectReport = Run<DirectResult>;
+
+impl DirectResult {
     /// Result for one predicate.
     pub fn output_groundness(&self, name: &str, arity: usize) -> Option<&DirectGroundness> {
         self.preds.get(&(name.to_owned(), arity))
@@ -129,6 +135,30 @@ impl DirectReport {
     /// All analyzed predicates, sorted by name.
     pub fn predicates(&self) -> impl Iterator<Item = &DirectGroundness> {
         self.preds.values()
+    }
+}
+
+impl Outcome for DirectResult {
+    fn render(&self, timings: &PhaseTimings) -> String {
+        let mut out = String::new();
+        for p in self.predicates() {
+            let _ = writeln!(
+                out,
+                "{}/{}: ground={:?} models={}",
+                p.name,
+                p.arity,
+                p.definitely_ground,
+                p.prop.count()
+            );
+        }
+        let _ = writeln!(
+            out,
+            "pairs={} iterations={} total={:?}",
+            self.pairs,
+            self.iterations,
+            timings.total()
+        );
+        out + &render_domain(self.domain, self.bdd_nodes, self.domain_bytes)
     }
 }
 
@@ -167,9 +197,11 @@ impl DirectExplanation {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+}
 
+impl Explained for DirectExplanation {
     /// Renders the fixpoint rows and each clause's contribution as text.
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let fmt_rows = |rows: &[Vec<bool>]| -> String {
             if rows.is_empty() {
@@ -196,7 +228,7 @@ impl DirectExplanation {
 
     /// Renders the explanation as one JSON object; rows are `g`/`f`
     /// strings, one character per argument.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         use tablog_trace::json::escape;
         let push_rows = |s: &mut String, rows: &[Vec<bool>]| {
@@ -232,6 +264,9 @@ impl DirectExplanation {
 
 type Key<D> = (Functor, <D as AbstractDomain>::Value);
 
+/// A pattern's fixpoint rows and each clause's contribution to them.
+type Explanation = (Vec<Vec<bool>>, Vec<DirectClauseSupport>);
+
 /// The worklist fixpoint solver, generic over the Prop-domain backend.
 /// `(predicate, call pattern)` pairs key the result table; since every
 /// backend's `Value` is canonical (bitsets for tables, hash-consed node
@@ -249,10 +284,42 @@ struct Solver<D: AbstractDomain> {
 }
 
 impl<D: AbstractDomain> Solver<D> {
+    /// A solver over the lowered clauses that demands every entry's call
+    /// pattern, or without entries every predicate with open arguments.
+    fn new(
+        domain: D,
+        preds: &PredSet,
+        entries: &[EntryPoint],
+        profile: bool,
+    ) -> Result<Self, AnalysisError> {
+        let mut s = Solver {
+            domain,
+            results: HashMap::new(),
+            deps: HashMap::new(),
+            queue: VecDeque::new(),
+            queued: HashSet::new(),
+            iterations: 0,
+            profile: profile.then(BTreeMap::new),
+        };
+        if entries.is_empty() {
+            for &(name, arity) in preds.keys() {
+                let f = functor(GP_PREFIX, name, arity);
+                check_arity(f)?;
+                let top = s.domain.top(arity);
+                s.demand(f, top, None);
+            }
+        }
+        for e in entries {
+            let (f, cp) = s.entry_key(e)?;
+            s.demand(f, cp, None);
+        }
+        Ok(s)
+    }
+
     /// The predicate and call pattern of an entry point.
     fn entry_key(&mut self, e: &EntryPoint) -> Result<Key<D>, AnalysisError> {
         let arity = e.ground_args.len();
-        let f = gp(tablog_term::intern(&e.name), arity);
+        let f = functor(GP_PREFIX, &e.name, arity);
         check_arity(f)?;
         let mut cp = self.domain.top(arity);
         for (i, &g) in e.ground_args.iter().enumerate() {
@@ -358,24 +425,149 @@ impl<D: AbstractDomain> Solver<D> {
         }
         Ok(self.domain.project(&table, &clause.head_cols))
     }
+
+    /// Merges the results per predicate, exporting the joined value as an
+    /// enumerative truth table so `DirectGroundness` has one canonical
+    /// output form regardless of backend.
+    fn collect(&mut self, preds: &PredSet) -> DirectResult {
+        let mut out = BTreeMap::new();
+        for &(name, arity) in preds.keys() {
+            let f = functor(GP_PREFIX, name, arity);
+            let matching: Vec<D::Value> = self
+                .results
+                .iter()
+                .filter(|(k, _)| k.0 == f)
+                .map(|(_, r)| r.clone())
+                .collect();
+            if matching.is_empty() {
+                continue; // unreachable from the entries
+            }
+            let mut merged = self.domain.bottom(arity);
+            for r in &matching {
+                merged = self.domain.join(&merged, r);
+            }
+            let prop = self.domain.to_table(&merged);
+            let definitely_ground = (0..arity).map(|i| prop.definitely(i)).collect();
+            out.insert(
+                (sym_name(name), arity),
+                DirectGroundness {
+                    name: sym_name(name),
+                    arity,
+                    prop,
+                    definitely_ground,
+                },
+            );
+        }
+        let domain_stats = self.domain.stats();
+        DirectResult {
+            preds: out,
+            pairs: self.results.len(),
+            iterations: self.iterations,
+            domain: self.domain.kind(),
+            domain_bytes: domain_stats.bytes,
+            bdd_nodes: domain_stats.nodes,
+        }
+    }
+
+    /// The per-predicate worklist counters as metrics rows; every seeded
+    /// pair reached fixpoint once the worklist drained.
+    fn metrics_rows(&self) -> Vec<(String, PredStats)> {
+        let mut stats = self.profile.clone().unwrap_or_default();
+        for (f, _) in self.results.keys() {
+            stats.entry(*f).or_default().completed += 1;
+        }
+        let mut rows: Vec<(String, PredStats)> =
+            stats.iter().map(|(f, s)| (f.to_string(), *s)).collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+
+    /// Explains the fixpoint of entry `e`'s call pattern: its rows, then
+    /// each clause of its predicate re-evaluated once against the
+    /// fixpoint.
+    fn explain(&mut self, clauses: &Clauses, e: &EntryPoint) -> Result<Explanation, AnalysisError> {
+        let key = &self.entry_key(e)?;
+        let rows = match self.results.get(key).cloned() {
+            Some(v) => self.domain.to_table(&v).rows(),
+            None => Vec::new(),
+        };
+        let own = clauses.get(&key.0).map_or(&[][..], Vec::as_slice);
+        let mut support = Vec::new();
+        for (ci, clause) in own.iter().enumerate() {
+            let t = self.eval_clause(clause, &key.1, key)?;
+            support.push(DirectClauseSupport {
+                clause_index: ci,
+                rows: self.domain.to_table(&t).rows(),
+            });
+        }
+        Ok((rows, support))
+    }
+}
+
+/// `P♯` for the direct analyzer, and its fixpoint: the lowered clauses
+/// and the worklist solver on the selected Prop-domain backend.
+pub struct Worklist {
+    clauses: Clauses,
+    solver: Backend,
+}
+
+enum Backend {
+    Table(Solver<TableDomain>),
+    Bdd(Solver<BddDomain>),
+}
+
+impl Solve for Worklist {
+    type Fixpoint = Worklist;
+
+    /// Runs the worklist; [`DirectAnalyzer`] runs no engine, so sets no budget.
+    fn solve(mut self, _: &EngineOptions) -> Result<Worklist, AnalysisError> {
+        match &mut self.solver {
+            Backend::Table(s) => s.run(&self.clauses)?,
+            Backend::Bdd(s) => s.run(&self.clauses)?,
+        }
+        Ok(self)
+    }
+
+    fn stamp(fixpoint: &Worklist, options: &EngineOptions, report: &mut MetricsReport) {
+        report.preds = match &fixpoint.solver {
+            Backend::Table(s) => s.metrics_rows(),
+            Backend::Bdd(s) => s.metrics_rows(),
+        };
+        report.options = vec![
+            ("analyzer".to_string(), "direct".to_string()),
+            ("domain".to_string(), options.domain.name().to_string()),
+        ];
+    }
 }
 
 /// The direct (special-purpose) groundness analyzer.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct DirectAnalyzer {
     /// Collect per-predicate worklist metrics and phase timings into
-    /// [`DirectReport::metrics`].
+    /// [`Run::metrics`].
     pub profile: bool,
-    /// Additionally record phase spans into the metrics report's span
-    /// tree, on the same process-wide timeline the engine's spans use —
-    /// so the direct analyzer's phases line up with the declarative
-    /// analyzers' in a combined profile. Requires `profile`.
+    /// Record the `analysis` / `collection` phase spans into `trace` and,
+    /// when profiling, the metrics report's span tree, on the same
+    /// process-wide timeline the engine's spans use — so the direct
+    /// analyzer's phases line up with the declarative analyzers'.
     pub record_spans: bool,
     /// Which Prop-domain backend the worklist solver runs on. The
     /// default enumerative [`DomainKind::Table`] matches the historical
     /// analyzer bit for bit; [`DomainKind::Bdd`] computes the same
     /// results on hash-consed BDDs.
     pub domain: DomainKind,
+    /// The caller's sink for the phase spans.
+    pub trace: Option<Arc<dyn TraceSink>>,
+}
+
+impl fmt::Debug for DirectAnalyzer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DirectAnalyzer")
+            .field("profile", &self.profile)
+            .field("record_spans", &self.record_spans)
+            .field("domain", &self.domain)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DirectAnalyzer {
@@ -391,9 +583,7 @@ impl DirectAnalyzer {
     /// Returns parse errors, or [`AnalysisError::Unsupported`] if a clause
     /// exceeds the truth-table width limit.
     pub fn analyze_source(&self, src: &str) -> Result<DirectReport, AnalysisError> {
-        let mut timer = Timer::start();
-        let program = parse_program(src)?;
-        self.analyze(&program, &[], timer.lap())
+        run(self, Input::Source(src), &[])
     }
 
     /// Analyzes a parsed program with fully open call patterns.
@@ -402,7 +592,7 @@ impl DirectAnalyzer {
     ///
     /// As [`DirectAnalyzer::analyze_source`].
     pub fn analyze_program(&self, program: &Program) -> Result<DirectReport, AnalysisError> {
-        self.analyze(program, &[], std::time::Duration::ZERO)
+        run(self, Input::Parsed(program), &[])
     }
 
     /// Goal-directed analysis from entry points.
@@ -415,37 +605,60 @@ impl DirectAnalyzer {
         program: &Program,
         entries: &[EntryPoint],
     ) -> Result<DirectReport, AnalysisError> {
-        self.analyze(program, entries, std::time::Duration::ZERO)
+        run(self, Input::Parsed(program), entries)
+    }
+}
+
+impl Analysis for DirectAnalyzer {
+    type Program = Program;
+    type Abstract = Worklist;
+    type Plan = PredSet;
+    type Result = DirectResult;
+    type Explanation = DirectExplanation;
+
+    fn parse(src: &str) -> Result<Program, AnalysisError> {
+        Ok(parse_program(src)?)
     }
 
-    /// Lowers the program into the analyzer's internal form and builds a
-    /// fresh solver over `domain`. Shared by
-    /// [`analyze`](DirectAnalyzer::analyze_program) and
-    /// [`explain`](DirectAnalyzer::explain).
-    fn build_solver<D: AbstractDomain>(
+    fn profile(&self) -> bool {
+        self.profile
+    }
+
+    fn options(&self) -> EngineOptions {
+        EngineOptions {
+            domain: self.domain,
+            trace: self.trace.clone(),
+            record_spans: self.record_spans,
+            ..EngineOptions::default()
+        }
+    }
+
+    fn load(
         &self,
-        domain: D,
         program: &Program,
-    ) -> Result<(Solver<D>, Clauses, crate::groundness::PredSet), AnalysisError> {
+        entries: &[EntryPoint],
+    ) -> Result<(Worklist, PredSet), AnalysisError> {
+        // The Figure 1 transform, then the abstract rules compiled clause
+        // by clause into the analyzer's internal form.
         let (rules, preds) = transform_program(program, IffMode::Builtin)?;
         let mut clauses = Clauses::new();
         for r in &rules {
             let f = r.head.functor().expect("abstract heads are callable");
             clauses.entry(f).or_default().push(lower_clause(r)?);
         }
-        Ok((
-            Solver {
-                domain,
-                results: HashMap::new(),
-                deps: HashMap::new(),
-                queue: VecDeque::new(),
-                queued: HashSet::new(),
-                iterations: 0,
-                profile: self.profile.then(BTreeMap::new),
-            },
-            clauses,
-            preds,
-        ))
+        let (p, e) = (self.profile, entries);
+        let solver = match self.domain {
+            DomainKind::Table => Backend::Table(Solver::new(TableDomain, &preds, e, p)?),
+            DomainKind::Bdd => Backend::Bdd(Solver::new(BddDomain::new(), &preds, e, p)?),
+        };
+        Ok((Worklist { clauses, solver }, preds))
+    }
+
+    fn collect(&self, _: &Program, preds: PredSet, fixpoint: &mut Worklist) -> DirectResult {
+        match &mut fixpoint.solver {
+            Backend::Table(s) => s.collect(&preds),
+            Backend::Bdd(s) => s.collect(&preds),
+        }
     }
 
     /// Explains one fixpoint result: `goal` is an [`EntryPoint`]-style call
@@ -453,54 +666,28 @@ impl DirectAnalyzer {
     /// fixpoint from that pattern, then re-evaluates each clause of the
     /// predicate once against the fixpoint to report which success-set rows
     /// each clause contributes — the worklist analog of a justification
-    /// tree, since the hand-coded analyzer keeps no tables to walk.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse errors, unknown predicates, or width-limit errors.
-    pub fn explain(
+    /// tree, since the hand-coded analyzer keeps no tables to walk (so
+    /// `max_depth` does not apply).
+    fn explain(
         &self,
         program: &Program,
         goal: &str,
-    ) -> Result<DirectExplanation, AnalysisError> {
-        match self.domain {
-            DomainKind::Table => self.explain_in(TableDomain, program, goal),
-            DomainKind::Bdd => self.explain_in(BddDomain::new(), program, goal),
-        }
-    }
-
-    fn explain_in<D: AbstractDomain>(
-        &self,
-        domain: D,
-        program: &Program,
-        goal: &str,
+        _max_depth: usize,
     ) -> Result<DirectExplanation, AnalysisError> {
         let e = EntryPoint::parse(goal)?;
         let arity = e.ground_args.len();
-        let (mut solver, abs_clauses, preds) = self.build_solver(domain, program)?;
+        let (worklist, preds) = self.load(program, std::slice::from_ref(&e))?;
         if !preds.contains_key(&(tablog_term::intern(&e.name), arity)) {
             return Err(AnalysisError::Unsupported(format!(
                 "unknown predicate {}/{arity} in goal {goal}",
                 e.name
             )));
         }
-        let key = solver.entry_key(&e)?;
-        solver.demand(key.0, key.1.clone(), None);
-        solver.run(&abs_clauses)?;
-        let fix = solver.results.get(&key).cloned();
-        let rows = match fix {
-            Some(v) => solver.domain.to_table(&v).rows(),
-            None => Vec::new(),
+        let Worklist { clauses, solver } = worklist.solve(&self.options())?;
+        let (rows, clauses) = match solver {
+            Backend::Table(mut s) => s.explain(&clauses, &e)?,
+            Backend::Bdd(mut s) => s.explain(&clauses, &e)?,
         };
-        let mut clauses = Vec::new();
-        let own = abs_clauses.get(&key.0).map_or(&[][..], Vec::as_slice);
-        for (ci, clause) in own.iter().enumerate() {
-            let t = solver.eval_clause(clause, &key.1, &key)?;
-            clauses.push(DirectClauseSupport {
-                clause_index: ci,
-                rows: solver.domain.to_table(&t).rows(),
-            });
-        }
         Ok(DirectExplanation {
             goal: goal.to_owned(),
             name: e.name,
@@ -508,147 +695,6 @@ impl DirectAnalyzer {
             rows,
             clauses,
         })
-    }
-
-    fn analyze(
-        &self,
-        program: &Program,
-        entries: &[EntryPoint],
-        parse_time: std::time::Duration,
-    ) -> Result<DirectReport, AnalysisError> {
-        match self.domain {
-            DomainKind::Table => self.analyze_in(TableDomain, program, entries, parse_time),
-            DomainKind::Bdd => self.analyze_in(BddDomain::new(), program, entries, parse_time),
-        }
-    }
-
-    fn analyze_in<D: AbstractDomain>(
-        &self,
-        domain: D,
-        program: &Program,
-        entries: &[EntryPoint],
-        parse_time: std::time::Duration,
-    ) -> Result<DirectReport, AnalysisError> {
-        let mut timer = Timer::start();
-        let mut spans =
-            (self.profile && self.record_spans).then(|| (SpanRecorder::new(), SpanEmitter::new()));
-        // Preprocess: reuse the Figure 1 transform, then lower the abstract
-        // rules into the analyzer's dense internal form.
-        if let Some((rec, em)) = spans.as_mut() {
-            em.enter(rec, "preprocess", None);
-        }
-        let (mut solver, clauses, preds) = self.build_solver(domain, program)?;
-        if let Some((rec, em)) = spans.as_mut() {
-            em.exit(rec);
-            em.enter(rec, "analysis", None);
-        }
-        let preprocess = parse_time + timer.lap();
-
-        // Analysis: seed and run to fixpoint.
-        if entries.is_empty() {
-            for &(name, arity) in preds.keys() {
-                let f = gp(name, arity);
-                check_arity(f)?;
-                let top = solver.domain.top(arity);
-                solver.demand(f, top, None);
-            }
-        } else {
-            for e in entries {
-                let (f, cp) = solver.entry_key(e)?;
-                solver.demand(f, cp, None);
-            }
-        }
-        solver.run(&clauses)?;
-        if let Some((rec, em)) = spans.as_mut() {
-            em.exit(rec);
-            em.enter(rec, "collection", None);
-        }
-        let analysis = timer.lap();
-
-        // Collection: merge results per predicate, exporting the joined
-        // value as an enumerative truth table so `DirectGroundness` has
-        // one canonical output form regardless of backend.
-        let mut out = BTreeMap::new();
-        for &(name, arity) in preds.keys() {
-            let f = gp(name, arity);
-            let matching: Vec<D::Value> = solver
-                .results
-                .iter()
-                .filter(|(k, _)| k.0 == f)
-                .map(|(_, r)| r.clone())
-                .collect();
-            if matching.is_empty() {
-                continue; // unreachable from the entries
-            }
-            let mut merged = solver.domain.bottom(arity);
-            for r in &matching {
-                merged = solver.domain.join(&merged, r);
-            }
-            let prop = solver.domain.to_table(&merged);
-            let definitely_ground = (0..arity).map(|i| prop.definitely(i)).collect();
-            out.insert(
-                (sym_name(name), arity),
-                DirectGroundness {
-                    name: sym_name(name),
-                    arity,
-                    prop,
-                    definitely_ground,
-                },
-            );
-        }
-        if let Some((rec, em)) = spans.as_mut() {
-            em.exit(rec);
-        }
-        let collection = timer.lap();
-
-        let metrics = solver.profile.take().map(|mut stats| {
-            // Every seeded pair reached fixpoint once the worklist drained.
-            for (f, _) in solver.results.keys() {
-                stats.entry(*f).or_default().completed += 1;
-            }
-            let mut rows: Vec<(String, PredStats)> =
-                stats.iter().map(|(f, s)| (f.to_string(), *s)).collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            MetricsReport {
-                preds: rows,
-                phases: vec![
-                    ("preprocess".to_string(), preprocess),
-                    ("analysis".to_string(), analysis),
-                    ("collection".to_string(), collection),
-                ],
-                options: vec![
-                    ("analyzer".to_string(), "direct".to_string()),
-                    ("domain".to_string(), self.domain.name().to_string()),
-                ],
-                spans: spans
-                    .as_ref()
-                    .map(|(rec, _)| rec.snapshot())
-                    .unwrap_or_default(),
-                engine: None,
-            }
-        });
-        let domain_stats = solver.domain.stats();
-        Ok(DirectReport {
-            preds: out,
-            timings: PhaseTimings {
-                preprocess,
-                analysis,
-                collection,
-            },
-            pairs: solver.results.len(),
-            iterations: solver.iterations,
-            metrics,
-            domain: self.domain,
-            domain_bytes: domain_stats.bytes,
-            bdd_nodes: domain_stats.nodes,
-        })
-    }
-}
-
-fn gp(name: tablog_term::Sym, arity: usize) -> Functor {
-    Functor {
-        name: tablog_term::intern(&format!("{GP_PREFIX}{}", sym_name(name))),
-        arity,
     }
 }
 
@@ -756,6 +802,13 @@ mod tests {
     use super::*;
     use crate::groundness::GroundnessAnalyzer;
 
+    fn bdd_analyzer() -> DirectAnalyzer {
+        DirectAnalyzer {
+            domain: DomainKind::Bdd,
+            ..DirectAnalyzer::new()
+        }
+    }
+
     const APPEND: &str = "
         app([], Ys, Ys).
         app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).
@@ -844,7 +897,7 @@ mod tests {
     fn explain_reports_clause_contributions() {
         let program = parse_program(APPEND).unwrap();
         let ex = DirectAnalyzer::new()
-            .explain(&program, "app(g, g, f)")
+            .explain(&program, "app(g, g, f)", 32)
             .unwrap();
         assert_eq!(ex.name, "app");
         assert_eq!(ex.arity, 3);
@@ -866,7 +919,9 @@ mod tests {
     #[test]
     fn explain_rejects_unknown_predicate() {
         let program = parse_program(APPEND).unwrap();
-        assert!(DirectAnalyzer::new().explain(&program, "nope(g)").is_err());
+        assert!(DirectAnalyzer::new()
+            .explain(&program, "nope(g)", 32)
+            .is_err());
     }
 
     #[test]
@@ -886,12 +941,7 @@ mod tests {
             ins(X, [Y|Ys], [Y|Zs]) :- X > Y, ins(X, Ys, Zs).
         ";
         let table = DirectAnalyzer::new().analyze_source(src).unwrap();
-        let bdd = DirectAnalyzer {
-            domain: DomainKind::Bdd,
-            ..DirectAnalyzer::new()
-        }
-        .analyze_source(src)
-        .unwrap();
+        let bdd = bdd_analyzer().analyze_source(src).unwrap();
         for d in table.predicates() {
             let b = bdd.output_groundness(&d.name, d.arity).unwrap();
             assert_eq!(d.prop, b.prop, "{}/{}", d.name, d.arity);
@@ -908,14 +958,11 @@ mod tests {
     fn bdd_explain_matches_table_explain() {
         let program = parse_program(APPEND).unwrap();
         let t = DirectAnalyzer::new()
-            .explain(&program, "app(g, g, f)")
+            .explain(&program, "app(g, g, f)", 32)
             .unwrap();
-        let b = DirectAnalyzer {
-            domain: DomainKind::Bdd,
-            ..DirectAnalyzer::new()
-        }
-        .explain(&program, "app(g, g, f)")
-        .unwrap();
+        let b = bdd_analyzer()
+            .explain(&program, "app(g, g, f)", 32)
+            .unwrap();
         assert_eq!(t.rows, b.rows);
         assert_eq!(t.clauses.len(), b.clauses.len());
         for (tc, bc) in t.clauses.iter().zip(&b.clauses) {
@@ -950,7 +997,7 @@ mod tests {
                 );
             }
             assert!(matches!(
-                an.explain(&program, &format!("p({})", vec!["f"; 27].join(", "))),
+                an.explain(&program, &format!("p({})", vec!["f"; 27].join(", ")), 32),
                 Err(AnalysisError::Unsupported(_))
             ));
         }
@@ -960,8 +1007,7 @@ mod tests {
     fn metrics_record_the_domain_backend() {
         let analyzer = DirectAnalyzer {
             profile: true,
-            domain: DomainKind::Bdd,
-            ..DirectAnalyzer::new()
+            ..bdd_analyzer()
         };
         let report = analyzer.analyze_source(APPEND).unwrap();
         let metrics = report.metrics.expect("profiled");

@@ -1,7 +1,7 @@
 //! Analyzer-level answer provenance: justification trees for analysis
 //! results.
 //!
-//! Each engine-backed analyzer exposes an `explain(goal)` entry point that
+//! Each engine-backed analysis's [`Analysis::explain`](crate::Analysis::explain)
 //! rebuilds its abstract program, maps the source-level goal onto the
 //! abstract predicate space (`gp$p`, `ak$p`, `sp$f` — names a user would
 //! have to quote to write directly, so the goal term is constructed rather
@@ -11,9 +11,8 @@
 //! table answer, whose leaves are program facts or builtin-supported
 //! clauses of the abstract program.
 
-use crate::error::AnalysisError;
-use tablog_engine::{Engine, Explanation};
-use tablog_term::{Bindings, Term};
+use crate::analysis::Explained;
+use tablog_engine::Explanation;
 use tablog_trace::json::escape;
 
 /// An explanation of one analysis result: the source-level goal, the
@@ -34,10 +33,12 @@ impl AnalysisExplanation {
     pub fn is_empty(&self) -> bool {
         self.explanation.is_empty()
     }
+}
 
+impl Explained for AnalysisExplanation {
     /// Renders a header (source goal, abstract goal) followed by the
     /// justification trees.
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         format!(
             "goal: {}\nabstract: {}\n{}",
             self.goal,
@@ -48,7 +49,7 @@ impl AnalysisExplanation {
 
     /// Renders the explanation as one JSON object
     /// (`{"goal": …, "abstract_goal": …, "explanation": {…}}`).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"goal\":\"{}\",\"abstract_goal\":\"{}\",\"explanation\":{}}}",
             escape(&self.goal),
@@ -58,26 +59,9 @@ impl AnalysisExplanation {
     }
 }
 
-/// Shared tail of every analyzer `explain`: renders the abstract goal,
-/// runs [`Engine::explain_goal`], and wraps the result.
-pub(crate) fn explain_abstract(
-    engine: &Engine,
-    goal_text: &str,
-    abstract_term: &Term,
-    bindings: &Bindings,
-    max_depth: usize,
-) -> Result<AnalysisExplanation, AnalysisError> {
-    let abstract_goal = tablog_syntax::term_to_string(abstract_term);
-    let explanation = engine.explain_goal(abstract_term, bindings, &abstract_goal, max_depth)?;
-    Ok(AnalysisExplanation {
-        goal: goal_text.to_owned(),
-        abstract_goal,
-        explanation,
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::analysis::{Analysis, Explained};
     use crate::depthk::DepthKAnalyzer;
     use crate::groundness::GroundnessAnalyzer;
     use crate::strictness::StrictnessAnalyzer;

@@ -11,17 +11,20 @@
 //! truth table of `p`'s groundness formula) and, because tabling records
 //! calls, the **input groundness** for free (Section 3.1).
 
+use crate::analysis::{
+    build, explain_tabled, functor, parse_goal, run, summary, Analysis, Input, Outcome, Run, Tabled,
+};
 use crate::error::AnalysisError;
 use crate::explain::AnalysisExplanation;
 use crate::pipeline::{PhaseTimings, Timer};
 use crate::prop::{PropTable, MAX_VARS};
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 use tablog_domain::{value_from_partial_rows, AbstractDomain, BddDomain, DomainKind, TableDomain};
-use tablog_engine::{Database, Engine, EngineOptions, LoadMode, TableStats};
+use tablog_engine::{Database, EngineOptions, Evaluation, LoadMode, TableStats};
 use tablog_magic::Rule;
 use tablog_syntax::{parse_program, Program};
-use tablog_term::{atom, intern, structure, sym_name, Bindings, Functor, Term, Var};
-use tablog_trace::MetricsReport;
+use tablog_term::{atom, structure, sym_name, sym_str, Functor, Term, Var};
 
 /// How `iff` constraints are represented in the abstract program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -68,18 +71,12 @@ impl EntryPoint {
     ///
     /// Fails on malformed specs.
     pub fn parse(spec: &str) -> Result<Self, AnalysisError> {
-        let mut b = Bindings::new();
-        let (t, _) = tablog_syntax::parse_term(spec, &mut b)
-            .map_err(|e| AnalysisError::Parse(e.to_string()))?;
-        let f = t
-            .functor()
-            .ok_or_else(|| AnalysisError::Parse(format!("bad entry spec {spec}")))?;
-        let ground_args = t
-            .args()
+        let (f, args, _) = parse_goal(spec, "entry spec")?;
+        let ground_args = args
             .iter()
             .map(|a| match a {
-                Term::Atom(s) if sym_name(*s) == "g" => Ok(true),
-                Term::Atom(s) if sym_name(*s) == "f" => Ok(false),
+                Term::Atom(s) if sym_str(*s) == "g" => Ok(true),
+                Term::Atom(s) if sym_str(*s) == "f" => Ok(false),
                 other => Err(AnalysisError::Parse(format!(
                     "entry argument must be g or f, found {other}"
                 ))),
@@ -111,12 +108,11 @@ pub struct PredGroundness {
     pub call_patterns: Vec<Vec<Option<bool>>>,
 }
 
-/// The complete result of a groundness analysis run.
+/// The collected result of a groundness analysis run; see
+/// [`GroundnessReport`].
 #[derive(Clone, Debug)]
-pub struct GroundnessReport {
+pub struct GroundnessResult {
     preds: BTreeMap<(String, usize), PredGroundness>,
-    /// Phase timings (preprocess / analysis / collection).
-    pub timings: PhaseTimings,
     /// Engine statistics, including table space.
     pub stats: TableStats,
     /// Prop-domain backend the collection phase ran on (from
@@ -129,13 +125,15 @@ pub struct GroundnessReport {
     /// Live BDD nodes allocated during collection (0 under
     /// [`DomainKind::Table`]).
     pub bdd_nodes: usize,
-    /// Per-predicate engine metrics; present iff the analyzer's
-    /// [`profile`](GroundnessAnalyzer::profile) flag was set. Predicate
-    /// keys are the abstract program's (`gp$p/n`, `$ga/0`).
-    pub metrics: Option<MetricsReport>,
 }
 
-impl GroundnessReport {
+/// The complete report of a groundness analysis run. Its
+/// [`metrics`](Run::metrics) are present iff the analyzer's
+/// [`profile`](GroundnessAnalyzer::profile) flag was set; their predicate
+/// keys are the abstract program's (`gp$p/n`, `$ga/0`).
+pub type GroundnessReport = Run<GroundnessResult>;
+
+impl GroundnessResult {
     /// Result for one predicate.
     pub fn output_groundness(&self, name: &str, arity: usize) -> Option<&PredGroundness> {
         self.preds.get(&(name.to_owned(), arity))
@@ -154,6 +152,33 @@ impl GroundnessReport {
     }
 }
 
+impl Outcome for GroundnessResult {
+    fn render(&self, timings: &PhaseTimings) -> String {
+        let mut out = String::new();
+        for p in self.predicates() {
+            let _ = writeln!(
+                out,
+                "{}/{}: ground={:?} answers={} calls={}",
+                p.name,
+                p.arity,
+                p.definitely_ground,
+                p.success_rows.len(),
+                p.call_patterns.len()
+            );
+        }
+        out + &summary(timings, self.table_bytes())
+            + &render_domain(self.domain, self.bdd_nodes, self.domain_bytes)
+    }
+}
+
+/// The line a `--domain bdd` run adds to a groundness report.
+pub(crate) fn render_domain(domain: DomainKind, nodes: usize, bytes: usize) -> String {
+    match domain {
+        DomainKind::Table => String::new(),
+        DomainKind::Bdd => format!("domain=bdd bdd_nodes={nodes} domain_bytes={bytes}B\n"),
+    }
+}
+
 /// The groundness analyzer: configuration + entry points into analysis.
 #[derive(Clone, Debug, Default)]
 pub struct GroundnessAnalyzer {
@@ -164,8 +189,8 @@ pub struct GroundnessAnalyzer {
     /// Engine options (scheduling, subsumption, …).
     pub options: EngineOptions,
     /// Collect per-predicate engine metrics and phase timings into
-    /// [`GroundnessReport::metrics`]. Composes with an existing
-    /// `options.trace` sink via fan-out.
+    /// [`Run::metrics`]. Composes with an existing `options.trace` sink
+    /// via fan-out.
     pub profile: bool,
 }
 
@@ -183,9 +208,7 @@ impl GroundnessAnalyzer {
     ///
     /// Returns parse, transformation, or engine errors.
     pub fn analyze_source(&self, src: &str) -> Result<GroundnessReport, AnalysisError> {
-        let mut timer = Timer::start();
-        let program = parse_program(src)?;
-        self.analyze_program_timed(&program, &[], timer.lap())
+        run(self, Input::Source(src), &[])
     }
 
     /// Analyzes a parsed program with fully open calls.
@@ -194,7 +217,7 @@ impl GroundnessAnalyzer {
     ///
     /// Returns transformation or engine errors.
     pub fn analyze_program(&self, program: &Program) -> Result<GroundnessReport, AnalysisError> {
-        self.analyze_program_timed(program, &[], std::time::Duration::ZERO)
+        run(self, Input::Parsed(program), &[])
     }
 
     /// Goal-directed analysis from the given entry points: only predicates
@@ -209,132 +232,57 @@ impl GroundnessAnalyzer {
         program: &Program,
         entries: &[EntryPoint],
     ) -> Result<GroundnessReport, AnalysisError> {
-        self.analyze_program_timed(program, entries, std::time::Duration::ZERO)
+        run(self, Input::Parsed(program), entries)
+    }
+}
+
+impl Analysis for GroundnessAnalyzer {
+    type Program = Program;
+    type Abstract = Tabled;
+    type Plan = PredSet;
+    type Result = GroundnessResult;
+    type Explanation = AnalysisExplanation;
+
+    fn parse(src: &str) -> Result<Program, AnalysisError> {
+        Ok(parse_program(src)?)
     }
 
-    /// Builds the abstract database: the transformed rules, tabling
-    /// declarations, and the `$ga` driver clauses (one per analyzed call
-    /// pattern). Shared by [`analyze`](GroundnessAnalyzer::analyze_program)
-    /// and [`explain`](GroundnessAnalyzer::explain).
+    fn profile(&self) -> bool {
+        self.profile
+    }
+
+    fn options(&self) -> EngineOptions {
+        self.options.clone()
+    }
+
+    /// The transformed rules, tabling declarations, and the `$ga` driver
+    /// clauses (one per analyzed call pattern).
     ///
     /// Every predicate must fit the truth-table cap, the same bound the
     /// direct analyzer enforces: the `iff` head constraints of a wider
     /// clause enumerate 2^arity rows before the body constrains anything.
-    fn load_abstract(
+    fn load(
         &self,
         program: &Program,
         entries: &[EntryPoint],
-    ) -> Result<(Database, PredSet), AnalysisError> {
+    ) -> Result<(Tabled, PredSet), AnalysisError> {
         let (rules, preds) = transform_program(program, self.iff_mode)?;
         for &(name, arity) in preds.keys() {
             check_arity(Functor { name, arity })?;
         }
-        let mut db = Database::new(self.load_mode);
-        for r in &rules {
-            db.assert_clause(r.head.clone(), r.body.clone())?;
-        }
-        for &(name, arity) in preds.keys() {
-            db.set_tabled(gp_functor(name, arity), true);
-        }
-        let mut b = Bindings::new();
-        if entries.is_empty() {
-            for &(name, arity) in preds.keys() {
-                let args: Vec<Term> = (0..arity).map(|_| Term::Var(b.fresh_var())).collect();
-                let goal = build(gp_functor(name, arity), args);
-                db.assert_clause(atom("$ga"), vec![goal])?;
-            }
-        } else {
-            for e in entries {
-                let args: Vec<Term> = e
-                    .ground_args
-                    .iter()
-                    .map(|&g| {
-                        if g {
-                            atom("true")
-                        } else {
-                            Term::Var(b.fresh_var())
-                        }
-                    })
-                    .collect();
-                let goal = build(gp_functor(intern(&e.name), e.ground_args.len()), args);
-                db.assert_clause(atom("$ga"), vec![goal])?;
-            }
-        }
-        if self.load_mode == LoadMode::Compiled {
-            db.build_indexes();
-        }
-        Ok((db, preds))
+        let tabled = Tabled::load_logic(
+            self.load_mode,
+            rules,
+            &preds,
+            GP_PREFIX,
+            "true",
+            "$ga",
+            entries,
+        )?;
+        Ok((tabled, preds))
     }
 
-    /// Explains one groundness answer: maps `goal` — a source-level call
-    /// whose arguments are `g` (ground), `f` (possibly non-ground) or
-    /// variables — onto the abstract predicate `gp$p` and returns the
-    /// justification trees of every matching abstract answer.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse errors (including non-`g`/`f` arguments),
-    /// transformation errors, or engine errors.
-    pub fn explain(
-        &self,
-        program: &Program,
-        goal: &str,
-        max_depth: usize,
-    ) -> Result<AnalysisExplanation, AnalysisError> {
-        let mut b = Bindings::new();
-        let (t, _) = tablog_syntax::parse_term(goal, &mut b)
-            .map_err(|e| AnalysisError::Parse(e.to_string()))?;
-        let f = t
-            .functor()
-            .ok_or_else(|| AnalysisError::Parse(format!("bad goal {goal}")))?;
-        let args: Vec<Term> = t
-            .args()
-            .iter()
-            .map(|a| match a {
-                Term::Atom(s) if matches!(sym_name(*s).as_str(), "g" | "true") => Ok(atom("true")),
-                Term::Atom(s) if matches!(sym_name(*s).as_str(), "f" | "false") => {
-                    Ok(atom("false"))
-                }
-                Term::Var(v) => Ok(Term::Var(*v)),
-                other => Err(AnalysisError::Parse(format!(
-                    "groundness goal argument must be g, f or a variable, found {other}"
-                ))),
-            })
-            .collect::<Result<_, _>>()?;
-        let (db, _) = self.load_abstract(program, &[])?;
-        let engine = Engine::new(db, self.options.clone());
-        let abstract_term = build(gp_functor(f.name, f.arity), args);
-        crate::explain::explain_abstract(&engine, goal, &abstract_term, &b, max_depth)
-    }
-
-    fn analyze_program_timed(
-        &self,
-        program: &Program,
-        entries: &[EntryPoint],
-        parse_time: std::time::Duration,
-    ) -> Result<GroundnessReport, AnalysisError> {
-        let mut timer = Timer::start();
-        // --- Preprocess: transform + load. ---
-        let (db, preds) = self.load_abstract(program, entries)?;
-        let mut options = self.options.clone();
-        let registry = self
-            .profile
-            .then(|| crate::profile::install_registry(&mut options));
-        let mut spans = crate::profile::PhaseSpans::from_options(&options);
-        let mut engine = Engine::new(db, options);
-        let preprocess = parse_time + timer.lap();
-
-        // --- Analysis: evaluate to fixpoint. ---
-        // The engine's own spans nest under this phase span.
-        engine.options_mut().parent_span = spans.enter("analysis");
-        let query = [atom("$ga")];
-        let qb = Bindings::new();
-        let eval = engine.evaluate(&query, &[], &qb)?.require_complete()?;
-        spans.exit();
-        let analysis = timer.lap();
-
-        // --- Collection: walk the tables. ---
-        spans.enter("collection");
+    fn collect(&self, _: &Program, preds: PredSet, eval: &mut Evaluation) -> GroundnessResult {
         let domain = self.options.domain;
         // One backend instance for the whole report: under the BDD backend
         // every predicate's formula shares (and hash-conses into) a single
@@ -343,8 +291,7 @@ impl GroundnessAnalyzer {
         let mut bdd_backend = BddDomain::new();
         let mut out = BTreeMap::new();
         for (&(name, arity), _) in preds.iter() {
-            let f = gp_functor(name, arity);
-            let views = eval.subgoals_of(f);
+            let views = eval.subgoals_of(functor(GP_PREFIX, name, arity));
             let mut success_rows = UniqueRows::default();
             let mut call_patterns = Vec::new();
             for v in &views {
@@ -382,30 +329,38 @@ impl GroundnessAnalyzer {
             DomainKind::Table => table_backend.stats(),
             DomainKind::Bdd => bdd_backend.stats(),
         };
-        spans.exit();
-        let collection = timer.lap();
-
-        let timings = PhaseTimings {
-            preprocess,
-            analysis,
-            collection,
-        };
-        let metrics = registry.map(|r| {
-            crate::profile::finish(
-                &r,
-                &timings,
-                engine.options().describe(),
-                Some(crate::profile::engine_snapshot(&eval, domain)),
-            )
-        });
-        Ok(GroundnessReport {
+        GroundnessResult {
             preds: out,
-            timings,
             stats: eval.stats(),
             domain,
             domain_bytes: domain_stats.bytes,
             bdd_nodes: domain_stats.nodes,
-            metrics,
+        }
+    }
+
+    /// Explains one groundness answer: maps `goal` — a source-level call
+    /// whose arguments are `g` (ground), `f` (possibly non-ground) or
+    /// variables — onto the abstract predicate `gp$p` and returns the
+    /// justification trees of every matching abstract answer.
+    fn explain(
+        &self,
+        program: &Program,
+        goal: &str,
+        max_depth: usize,
+    ) -> Result<AnalysisExplanation, AnalysisError> {
+        explain_tabled(self, program, goal, max_depth, |f, args, _| {
+            let args = args
+                .iter()
+                .map(|a| match a {
+                    Term::Atom(s) if matches!(sym_str(*s), "g" | "true") => Ok(atom("true")),
+                    Term::Atom(s) if matches!(sym_str(*s), "f" | "false") => Ok(atom("false")),
+                    Term::Var(v) => Ok(Term::Var(*v)),
+                    other => Err(AnalysisError::Parse(format!(
+                        "groundness goal argument must be g, f or a variable, found {other}"
+                    ))),
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(build(functor(GP_PREFIX, f.name, f.arity), args))
         })
     }
 }
@@ -440,21 +395,6 @@ pub fn compile_time(src: &str, mode: LoadMode) -> Result<std::time::Duration, An
         db.build_indexes();
     }
     Ok(timer.lap())
-}
-
-fn gp_functor(name: tablog_term::Sym, arity: usize) -> Functor {
-    Functor {
-        name: intern(&format!("{GP_PREFIX}{}", sym_name(name))),
-        arity,
-    }
-}
-
-fn build(f: Functor, args: Vec<Term>) -> Term {
-    if args.is_empty() {
-        Term::Atom(f.name)
-    } else {
-        Term::Struct(f.name, args.into())
-    }
 }
 
 fn tuple_to_row(args: &[Term]) -> Vec<Option<bool>> {
@@ -586,26 +526,22 @@ fn goal_alternatives(goal: &Term) -> Vec<Vec<Term>> {
                     for g in [&iargs[0], &iargs[1]] {
                         left.extend(flatten(g));
                     }
-                    let mut out = expand_seq(&left);
-                    out.extend(expand_seq(&flatten(&args[1])));
+                    let mut out = expand_disjunctions(&left);
+                    out.extend(expand_disjunctions(&flatten(&args[1])));
                     return out;
                 }
             }
-            let mut out = expand_seq(&flatten(&args[0]));
-            out.extend(expand_seq(&flatten(&args[1])));
+            let mut out = expand_disjunctions(&flatten(&args[0]));
+            out.extend(expand_disjunctions(&flatten(&args[1])));
             return out;
         }
         if name == "->" && args.len() == 2 {
             let mut seq = flatten(&args[0]);
             seq.extend(flatten(&args[1]));
-            return expand_seq(&seq);
+            return expand_disjunctions(&seq);
         }
     }
     vec![vec![goal.clone()]]
-}
-
-fn expand_seq(goals: &[Term]) -> Vec<Vec<Term>> {
-    expand_disjunctions(goals)
 }
 
 fn flatten(t: &Term) -> Vec<Term> {
@@ -691,7 +627,7 @@ fn transform_clause(
     }
     *max_iff = (*max_iff).max(ctx.max_iff_arity);
     Ok(Some(Rule::new(
-        build(gp_functor(f.name, f.arity), head_vars),
+        build(functor(GP_PREFIX, f.name, f.arity), head_vars),
         ctx.body,
     )))
 }
@@ -771,7 +707,8 @@ fn transform_goal(
                 for (alpha, t) in alphas.iter().zip(args) {
                     ctx.emit_iff(alpha.clone(), t);
                 }
-                ctx.body.push(build(gp_functor(f.name, f.arity), alphas));
+                ctx.body
+                    .push(build(functor(GP_PREFIX, f.name, f.arity), alphas));
                 Ok(true)
             } else {
                 // Unknown predicate: assume it may succeed without

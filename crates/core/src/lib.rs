@@ -27,9 +27,11 @@
 //! * the magic-sets bottom-up route (crate `tablog-magic`), standing in for
 //!   Coral (Section 7).
 //!
-//! The [`prop`] module holds the shared truth-table representation;
-//! [`pipeline`] provides the preprocessing / analysis / collection phase
-//! timing that the paper's tables report.
+//! One driver runs all four: each implements [`Analysis`] (parse, build
+//! `P♯`, collect) and [`run`] does the rest — the fixpoint, the
+//! preprocess / analysis / collection timing the paper's tables report
+//! ([`pipeline`]), the phase spans and the metrics report. [`lookup`]
+//! picks an analysis by name. [`prop`] holds the truth tables.
 //!
 //! # Example: groundness of `append`
 //!
@@ -48,6 +50,7 @@
 //! # Ok::<(), tablog_core::AnalysisError>(())
 //! ```
 
+pub mod analysis;
 pub mod depthk;
 pub mod direct;
 pub mod explain;
@@ -60,9 +63,11 @@ pub mod strictness;
 pub mod types;
 
 mod error;
-mod profile;
 
+pub use analysis::{
+    lookup, run, Analysis, Explained, Input, Named, Outcome, Run, Solve, Tabled, NAMES,
+};
 pub use error::AnalysisError;
 pub use explain::AnalysisExplanation;
-pub use parallel::{analyze_many, parallel_map};
+pub use parallel::analyze_many;
 pub use pipeline::{PhaseTimings, Timer};

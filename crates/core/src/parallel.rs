@@ -11,34 +11,38 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Applies `f` to every item of `items` on up to `jobs` worker threads and
-/// returns the results in input order.
+/// Analyzes many programs concurrently: applies `analyze` to every item of
+/// `programs` on up to `jobs` worker threads and returns the results in
+/// input order, so parallel output is byte-comparable with a sequential
+/// run. This is the multi-program driver behind `tablog --jobs N`.
 ///
 /// `jobs <= 1` (or a single item) runs inline on the calling thread, so
 /// sequential and parallel callers share one code path. Workers claim items
 /// through an atomic cursor, which keeps long-running items from stalling
-/// the queue behind them. If `f` panics on any item the panic propagates to
-/// the caller once the scope joins.
-pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+/// the queue behind them. Each `analyze` call must build its own engine
+/// session (analyzers do — every run constructs a fresh `Engine`, whose
+/// arena lives and dies with that run). If `analyze` panics on any item
+/// the panic propagates to the caller once the scope joins.
+pub fn analyze_many<T, R, F>(jobs: usize, programs: &[T], analyze: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let jobs = jobs.clamp(1, items.len().max(1));
+    let jobs = jobs.clamp(1, programs.len().max(1));
     if jobs == 1 {
-        return items.iter().map(f).collect();
+        return programs.iter().map(analyze).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = programs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
+                if i >= programs.len() {
                     break;
                 }
-                let r = f(&items[i]);
+                let r = analyze(&programs[i]);
                 *slots[i].lock().unwrap() = Some(r);
             });
         }
@@ -53,23 +57,6 @@ where
         .collect()
 }
 
-/// Analyzes many programs concurrently: the multi-program driver behind
-/// `tablog --jobs N` and the parallel `paper_tables` suite run.
-///
-/// `analyze` is invoked once per program, on whichever worker thread claims
-/// it; each invocation must build its own engine session (analyzers already
-/// do — every `analyze_*` call constructs a fresh `Engine`, whose arena
-/// lives and dies with that run). Results come back in input order, so
-/// parallel output is byte-comparable with a sequential run.
-pub fn analyze_many<T, R, F>(jobs: usize, programs: &[T], analyze: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map(jobs, programs, analyze)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,23 +64,23 @@ mod tests {
     use crate::groundness::GroundnessAnalyzer;
 
     #[test]
-    fn parallel_map_preserves_input_order() {
+    fn analyze_many_preserves_input_order() {
         let items: Vec<usize> = (0..64).collect();
-        let got = parallel_map(8, &items, |&i| i * 2);
+        let got = analyze_many(8, &items, |&i| i * 2);
         assert_eq!(got, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_job_runs_inline() {
         let items = [1, 2, 3];
-        let got = parallel_map(1, &items, |&i| i + 1);
+        let got = analyze_many(1, &items, |&i| i + 1);
         assert_eq!(got, vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: [u8; 0] = [];
-        assert!(parallel_map(4, &items, |_| 0).is_empty());
+        assert!(analyze_many(4, &items, |_| 0).is_empty());
     }
 
     const PROGRAMS: [&str; 4] = [

@@ -17,14 +17,18 @@
 //! of `sp$f(D, …)` leaves `Xi` free or `n`: evaluation via every equation
 //! and branch places at least a head-normal-form demand on the argument.
 
+use crate::analysis::{
+    build, explain_tabled, functor, run, summary, Analysis, Input, Outcome, Run, Tabled,
+};
 use crate::error::AnalysisError;
-use crate::pipeline::{PhaseTimings, Timer};
+use crate::explain::AnalysisExplanation;
+use crate::groundness::EntryPoint;
+use crate::pipeline::PhaseTimings;
 use std::collections::BTreeMap;
-use tablog_engine::{Database, Engine, EngineOptions, LoadMode, TableStats};
+use tablog_engine::{EngineOptions, Evaluation, LoadMode, TableStats};
 use tablog_funlang::{parse_fun_program, Equation, Expr, FunProgram, Pattern};
 use tablog_magic::Rule;
-use tablog_term::{atom, intern, structure, sym_name, Functor, Term, Var};
-use tablog_trace::MetricsReport;
+use tablog_term::{atom, structure, sym_name, sym_str, Functor, Term, Var};
 
 /// A demand extent, ordered `N < D < E`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -90,24 +94,25 @@ impl FunStrictness {
     }
 }
 
-/// The complete result of a strictness analysis run.
+/// The collected result of a strictness analysis run; see
+/// [`StrictnessReport`].
 #[derive(Clone, Debug)]
-pub struct StrictnessReport {
+pub struct StrictnessResult {
     funs: BTreeMap<String, FunStrictness>,
-    /// Phase timings (preprocess / analysis / collection).
-    pub timings: PhaseTimings,
     /// Engine statistics, including table space.
     pub stats: TableStats,
     /// Counters of the evaluation's session arena: every call, answer and
     /// derivation node interned during the run.
     pub arena: tablog_term::ArenaStats,
-    /// Per-predicate engine metrics; present iff the analyzer's
-    /// [`profile`](StrictnessAnalyzer::profile) flag was set. Predicate
-    /// keys are the demand program's (`sp$f/(n+1)`, `pm$c/…`, `$sa/0`).
-    pub metrics: Option<MetricsReport>,
 }
 
-impl StrictnessReport {
+/// The complete report of a strictness analysis run. Its
+/// [`metrics`](Run::metrics) are present iff the analyzer's
+/// [`profile`](StrictnessAnalyzer::profile) flag was set; their predicate
+/// keys are the demand program's (`sp$f/(n+1)`, `pm$c/…`, `$sa/0`).
+pub type StrictnessReport = Run<StrictnessResult>;
+
+impl StrictnessResult {
     /// Verdicts for one function.
     pub fn strictness(&self, f: &str) -> Option<&FunStrictness> {
         self.funs.get(f)
@@ -124,6 +129,13 @@ impl StrictnessReport {
     }
 }
 
+impl Outcome for StrictnessResult {
+    fn render(&self, timings: &PhaseTimings) -> String {
+        let funs: String = self.functions().map(|f| f.summary() + "\n").collect();
+        funs + &summary(timings, self.table_bytes())
+    }
+}
+
 /// The strictness analyzer.
 #[derive(Clone, Debug, Default)]
 pub struct StrictnessAnalyzer {
@@ -132,7 +144,7 @@ pub struct StrictnessAnalyzer {
     /// Engine options.
     pub options: EngineOptions,
     /// Collect per-predicate engine metrics and phase timings into
-    /// [`StrictnessReport::metrics`].
+    /// [`Run::metrics`].
     pub profile: bool,
 }
 
@@ -148,9 +160,7 @@ impl StrictnessAnalyzer {
     ///
     /// Returns parse, translation, or engine errors.
     pub fn analyze_source(&self, src: &str) -> Result<StrictnessReport, AnalysisError> {
-        let mut timer = Timer::start();
-        let prog = parse_fun_program(src)?;
-        self.analyze_program_timed(&prog, timer.lap())
+        run(self, Input::Source(src), &[])
     }
 
     /// Analyzes a parsed functional program.
@@ -159,19 +169,34 @@ impl StrictnessAnalyzer {
     ///
     /// Returns translation or engine errors.
     pub fn analyze_program(&self, prog: &FunProgram) -> Result<StrictnessReport, AnalysisError> {
-        self.analyze_program_timed(prog, std::time::Duration::ZERO)
+        run(self, Input::Parsed(prog), &[])
+    }
+}
+
+impl Analysis for StrictnessAnalyzer {
+    type Program = FunProgram;
+    type Abstract = Tabled;
+    type Plan = ();
+    type Result = StrictnessResult;
+    type Explanation = AnalysisExplanation;
+
+    fn parse(src: &str) -> Result<FunProgram, AnalysisError> {
+        Ok(parse_fun_program(src)?)
     }
 
-    /// Builds the demand-propagation database: the Figure 3 rules (all
-    /// tabled), plus the `$sa` driver clauses, one per (function, demand).
-    /// Shared by [`analyze`](StrictnessAnalyzer::analyze_program) and
-    /// [`explain`](StrictnessAnalyzer::explain).
-    fn load_demand(&self, prog: &FunProgram) -> Result<Database, AnalysisError> {
-        let rules = translate_program(prog)?;
-        let mut db = Database::new(self.load_mode);
-        for r in &rules {
-            db.assert_clause(r.head.clone(), r.body.clone())?;
-        }
+    fn profile(&self) -> bool {
+        self.profile
+    }
+
+    fn options(&self) -> EngineOptions {
+        self.options.clone()
+    }
+
+    /// The demand-propagation database: the Figure 3 rules (all tabled),
+    /// plus the `$sa` driver clauses, one per (function, demand). Every
+    /// function is analyzed, so entry points play no part.
+    fn load(&self, prog: &FunProgram, _: &[EntryPoint]) -> Result<(Tabled, ()), AnalysisError> {
+        let mut db = Tabled::assert_rules(self.load_mode, translate_program(prog)?)?;
         db.table_all();
         let mut vc = 0u32;
         for (fname, &arity) in &prog.functions {
@@ -185,84 +210,13 @@ impl StrictnessAnalyzer {
             }
         }
         db.set_tabled(Functor::new("$sa", 0), false);
-        if self.load_mode == LoadMode::Compiled {
-            db.build_indexes();
-        }
-        Ok(db)
+        Ok((Tabled::new(db, self.load_mode, "$sa"), ()))
     }
 
-    /// Explains one strictness verdict: `goal` names a function and the
-    /// demand placed on its result, `f(e)` or `f(d)`, and the result is the
-    /// justification tree of every answer of `sp$f(demand, X1…Xn)` — each
-    /// answer being one way demand propagates to the arguments.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse errors (unknown function, bad demand), translation
-    /// errors, or engine errors.
-    pub fn explain(
-        &self,
-        prog: &FunProgram,
-        goal: &str,
-        max_depth: usize,
-    ) -> Result<crate::explain::AnalysisExplanation, AnalysisError> {
-        let mut b = tablog_term::Bindings::new();
-        let (t, _) = tablog_syntax::parse_term(goal, &mut b)
-            .map_err(|e| AnalysisError::Parse(e.to_string()))?;
-        let f = t
-            .functor()
-            .ok_or_else(|| AnalysisError::Parse(format!("bad goal {goal}")))?;
-        let name = sym_name(f.name);
-        let arity = *prog.functions.get(&name).ok_or_else(|| {
-            AnalysisError::Unsupported(format!("unknown function {name} in goal {goal}"))
-        })?;
-        let demand = match t.args() {
-            [Term::Atom(s)] if matches!(sym_name(*s).as_str(), "e" | "d" | "n") => Term::Atom(*s),
-            _ => {
-                return Err(AnalysisError::Parse(format!(
-                    "strictness goal must be {name}(e), {name}(d) or {name}(n)"
-                )))
-            }
-        };
-        let mut args = vec![demand];
-        args.extend((0..arity).map(|_| Term::Var(b.fresh_var())));
-        let db = self.load_demand(prog)?;
-        let engine = Engine::new(db, self.options.clone());
-        let abstract_term = build(sp_functor(&name, arity), args);
-        crate::explain::explain_abstract(&engine, goal, &abstract_term, &b, max_depth)
-    }
-
-    fn analyze_program_timed(
-        &self,
-        prog: &FunProgram,
-        parse_time: std::time::Duration,
-    ) -> Result<StrictnessReport, AnalysisError> {
-        let mut timer = Timer::start();
-        // --- Preprocess: translate + load. ---
-        let db = self.load_demand(prog)?;
-        let mut options = self.options.clone();
-        let registry = self
-            .profile
-            .then(|| crate::profile::install_registry(&mut options));
-        let mut spans = crate::profile::PhaseSpans::from_options(&options);
-        let mut engine = Engine::new(db, options);
-        let preprocess = parse_time + timer.lap();
-
-        // --- Analysis. ---
-        engine.options_mut().parent_span = spans.enter("analysis");
-        let qb = tablog_term::Bindings::new();
-        let eval = engine
-            .evaluate(&[atom("$sa")], &[], &qb)?
-            .require_complete()?;
-        spans.exit();
-        let analysis = timer.lap();
-
-        // --- Collection. ---
-        spans.enter("collection");
+    fn collect(&self, prog: &FunProgram, _: (), eval: &mut Evaluation) -> StrictnessResult {
         let mut funs = BTreeMap::new();
         for (fname, &arity) in &prog.functions {
-            let f = sp_functor(fname, arity);
-            let views = eval.subgoals_of(f);
+            let views = eval.subgoals_of(sp_functor(fname, arity));
             let per_demand = |want: &str| -> Vec<Demand> {
                 let mut verdict = vec![Demand::E; arity];
                 let mut seen = false;
@@ -300,28 +254,39 @@ impl StrictnessAnalyzer {
                 },
             );
         }
-        spans.exit();
-        let collection = timer.lap();
-
-        let timings = PhaseTimings {
-            preprocess,
-            analysis,
-            collection,
-        };
-        let metrics = registry.map(|r| {
-            crate::profile::finish(
-                &r,
-                &timings,
-                engine.options().describe(),
-                Some(crate::profile::engine_snapshot(&eval, self.options.domain)),
-            )
-        });
-        Ok(StrictnessReport {
+        StrictnessResult {
             funs,
-            timings,
             stats: eval.stats(),
             arena: eval.arena().stats(),
-            metrics,
+        }
+    }
+
+    /// Explains one strictness verdict: `goal` names a function and the
+    /// demand placed on its result, `f(e)` or `f(d)`, and the result is the
+    /// justification tree of every answer of `sp$f(demand, X1…Xn)` — each
+    /// answer being one way demand propagates to the arguments.
+    fn explain(
+        &self,
+        prog: &FunProgram,
+        goal: &str,
+        max_depth: usize,
+    ) -> Result<AnalysisExplanation, AnalysisError> {
+        explain_tabled(self, prog, goal, max_depth, |f, args, b| {
+            let name = sym_str(f.name);
+            let arity = *prog.functions.get(name).ok_or_else(|| {
+                AnalysisError::Unsupported(format!("unknown function {name} in goal {goal}"))
+            })?;
+            let demand = match args {
+                [Term::Atom(s)] if matches!(sym_str(*s), "e" | "d" | "n") => Term::Atom(*s),
+                _ => {
+                    return Err(AnalysisError::Parse(format!(
+                        "strictness goal must be {name}(e), {name}(d) or {name}(n)"
+                    )))
+                }
+            };
+            let mut args = vec![demand];
+            args.extend((0..arity).map(|_| Term::Var(b.fresh_var())));
+            Ok(build(sp_functor(name, arity), args))
         })
     }
 }
@@ -334,19 +299,9 @@ fn term_demand(t: &Term) -> Demand {
     }
 }
 
+/// `sp$f/(n+1)`: the demand predicate of `f/n`.
 fn sp_functor(fname: &str, arity: usize) -> Functor {
-    Functor {
-        name: intern(&format!("sp${fname}")),
-        arity: arity + 1,
-    }
-}
-
-fn build(f: Functor, args: Vec<Term>) -> Term {
-    if args.is_empty() {
-        Term::Atom(f.name)
-    } else {
-        Term::Struct(f.name, args.into())
-    }
+    functor("sp$", fname, arity + 1)
 }
 
 /// Translation state for one equation.
@@ -656,9 +611,7 @@ fn ctor_rules(c: &str, k: usize) -> Vec<Rule> {
     let demands = ["e", "d", "n"];
     let mut idx = vec![0usize; k];
     loop {
-        if !idx.iter().all(|&i| i == 0) || k == 0 {
-            // Skip the all-e tuple (idx all zero when k > 0 is all-e).
-        }
+        // Skip the all-e tuple (idx all zero when k > 0 is all-e).
         let tuple_is_all_e = idx.iter().all(|&i| i == 0);
         if k > 0 && !tuple_is_all_e {
             let args: Vec<Term> = std::iter::once(atom("d"))

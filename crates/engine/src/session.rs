@@ -306,6 +306,23 @@ impl Evaluation {
         self.stats
     }
 
+    /// The whole-run counters in report form, stamped with the scheduler
+    /// and with the Prop-domain backend the caller ran on, so saved
+    /// reports are self-describing.
+    pub fn snapshot(&self, domain: tablog_domain::DomainKind) -> tablog_trace::EngineSnapshot {
+        let s = &self.stats;
+        tablog_trace::EngineSnapshot {
+            scheduler: self.scheduler.to_string(),
+            domain: domain.name().to_owned(),
+            steps: s.steps as u64,
+            clause_resolutions: s.clause_resolutions as u64,
+            subgoals: s.subgoals as u64,
+            answers: s.answers as u64,
+            duplicate_answers: s.duplicate_answers as u64,
+            table_bytes: s.table_bytes as u64,
+        }
+    }
+
     /// Estimated total table space in bytes (the paper's last column).
     pub fn table_bytes(&self) -> usize {
         self.stats.table_bytes

@@ -33,12 +33,12 @@
 //! tablog forest FILE.pl GOAL [--dot OUT]
 //!                                       derivation forest as DOT (or JSON
 //!                                       with --json)
-//! tablog ground FILE.pl [--entry SPEC] [--direct]
+//! tablog ground FILE.pl… [--entry SPEC] [--direct]
 //!                                       Prop groundness analysis
-//! tablog depthk FILE.pl [--k N] [--entry SPEC]
+//! tablog depthk FILE.pl… [--k N] [--entry SPEC]
 //!                                       depth-k groundness analysis
 //! tablog modes  FILE.pl --entry SPEC    mode inference (+ / - / ?)
-//! tablog strict FILE.eq                 strictness analysis
+//! tablog strict FILE.eq…                strictness analysis
 //! tablog types  FILE.eq                 Hindley-Milner type analysis
 //! tablog run    FILE.eq [FUNCTION]      evaluate a functional program
 //! ```
@@ -56,22 +56,22 @@
 //!   `table` (default; enumerative truth tables) or `bdd` (hash-consed
 //!   BDDs). Both compute identical results; they trade memory/time
 //!   differently. Recorded in `stats`/`--profile` reports either way.
-//! * `--jobs N` — for the analysis commands (`ground`, `depthk`), analyze
-//!   multiple input files on up to `N` worker threads; output stays in
-//!   input order.
+//! * `--jobs N` — for the analysis commands (`ground`, `depthk`,
+//!   `strict`), analyze multiple input files on up to `N` worker threads;
+//!   output stays in input order.
 //! * `--progress` — live single-line status on stderr (steps, answers,
 //!   tables, table bytes), rewritten in place; automatically off when
 //!   stderr is not a terminal.
+//!
+//! Any other `--flag` is an error.
 
 use std::fs::File;
 use std::io::{BufWriter, IsTerminal, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tablog_core::depthk::DepthKAnalyzer;
-use tablog_core::direct::DirectAnalyzer;
-use tablog_core::groundness::{EntryPoint, GroundnessAnalyzer};
-use tablog_core::strictness::StrictnessAnalyzer;
+use tablog_core::groundness::EntryPoint;
+use tablog_core::Named;
 use tablog_domain::DomainKind;
 use tablog_engine::{
     Engine, EngineOptions, HealthConfig, HealthSnapshot, HealthTrack, JsonLinesSink, LoadMode,
@@ -106,7 +106,7 @@ fn usage() -> String {
                                    snapshots; partial answers on a trip)\n\
      explain FILE GOAL [--depth N] [--analysis ground|depthk|strict|direct]\n\
      forest  FILE GOAL [--dot OUT]\n\
-     ground|depthk accept multiple FILEs; --jobs N analyzes them concurrently\n\
+     ground|depthk|strict accept multiple FILEs; --jobs N analyzes them concurrently\n\
      global flags: --profile  --json  --trace FILE  --scheduler S  --jobs N\n\
                    --progress  --domain D\n\
      --scheduler: depth-first (default) | breadth-first | batched\n\
@@ -139,24 +139,6 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-}
-
-/// The engine's whole-evaluation counters, for embedding in reports.
-fn engine_snapshot(
-    eval: &tablog_engine::Evaluation,
-    domain: DomainKind,
-) -> tablog_trace::EngineSnapshot {
-    let s = eval.stats();
-    tablog_trace::EngineSnapshot {
-        scheduler: eval.scheduler().to_string(),
-        domain: domain.name().to_owned(),
-        steps: s.steps as u64,
-        clause_resolutions: s.clause_resolutions as u64,
-        subgoals: s.subgoals as u64,
-        answers: s.answers as u64,
-        duplicate_answers: s.duplicate_answers as u64,
-        table_bytes: s.table_bytes as u64,
-    }
 }
 
 /// A `--progress` status line: one stderr line rewritten in place on every
@@ -238,27 +220,40 @@ impl Obs {
     /// The engine-facing trace sink: the `--trace` file writer, the
     /// metrics registry, the `--progress` line — fanned out as needed.
     fn engine_sink(&self, registry: Option<&Arc<MetricsRegistry>>) -> Option<Arc<dyn TraceSink>> {
-        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
-        if let Some(t) = &self.sink {
-            sinks.push(t.clone());
+        let registry = registry.map(|r| r.clone() as Arc<dyn TraceSink>);
+        let mut sinks: Vec<_> = [self.sink.clone(), registry, self.progress.clone()]
+            .into_iter()
+            .flatten()
+            .collect();
+        if sinks.len() > 1 {
+            let m = sinks.into_iter().fold(MultiSink::new(), MultiSink::with);
+            return Some(Arc::new(m));
         }
-        if let Some(r) = registry {
-            sinks.push(r.clone());
+        sinks.pop()
+    }
+
+    /// Engine options under the engine flags (`--trace`, `--scheduler`,
+    /// `--domain`, `--progress`), with `registry` fanned into the sink.
+    fn options(&self, registry: Option<&Arc<MetricsRegistry>>) -> EngineOptions {
+        EngineOptions {
+            trace: self.engine_sink(registry),
+            scheduling: self.scheduling,
+            domain: self.domain,
+            health: self.health,
+            ..Default::default()
         }
-        if let Some(p) = &self.progress {
-            sinks.push(p.clone());
-        }
-        match sinks.len() {
-            0 => None,
-            1 => sinks.pop(),
-            _ => {
-                let mut m = MultiSink::new();
-                for s in sinks {
-                    m = m.with(s);
-                }
-                Some(Arc::new(m) as Arc<dyn TraceSink>)
-            }
-        }
+    }
+
+    /// The analysis called `name`, under the engine flags (`--trace`,
+    /// `--scheduler`, `--domain`, `--progress`), `--profile` and `--k`.
+    fn analysis(&self, name: &str, args: &[String]) -> Result<Box<dyn Named>, String> {
+        let k: usize = flag_value(args, "--k")
+            .map(|v| v.parse().map_err(|_| "bad --k value".to_string()))
+            .transpose()?
+            .unwrap_or(2);
+        tablog_core::lookup(name, self.options(None), self.profile, k).ok_or_else(|| {
+            format!("unknown --analysis {name} (expected ground, depthk, strict or direct)")
+        })
     }
 
     fn print_metrics(&self, metrics: Option<&MetricsReport>) {
@@ -272,7 +267,8 @@ impl Obs {
     }
 }
 
-/// Splits the global observability flags off the argument list.
+/// Splits the global observability flags off the argument list, failing
+/// on any `--flag` no command knows.
 fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
     let mut rest = Vec::new();
     let mut profile = false;
@@ -307,6 +303,13 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
                     .map_err(|_| format!("bad --jobs value {n}"))?
                     .max(1);
             }
+            flag if VALUED.contains(&flag) => {
+                rest.push(a.clone());
+                rest.extend(it.next().cloned());
+            }
+            flag if flag.starts_with("--") && !BARE.contains(&flag) => {
+                return Err(format!("unknown flag {flag}\n{}", usage()));
+            }
             _ => rest.push(a.clone()),
         }
     }
@@ -336,24 +339,29 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
     ))
 }
 
+/// The subcommands' value-taking flags.
+const VALUED: [&str; 13] = [
+    "--entry",
+    "--k",
+    "--depth",
+    "--dot",
+    "--analysis",
+    "--top",
+    "--folded",
+    "--out",
+    "--interval",
+    "--metrics",
+    "--max-steps",
+    "--deadline",
+    "--max-table-bytes",
+];
+
+/// The subcommands' bare flags (and `--help`).
+const BARE: [&str; 3] = ["--direct", "--counters", "--help"];
+
 /// Positional (non-flag) arguments: skips `--flag value` pairs for the
 /// value-taking flags and bare `--flags` for the rest.
 fn positional(args: &[String]) -> Vec<&String> {
-    const VALUED: [&str; 13] = [
-        "--entry",
-        "--k",
-        "--depth",
-        "--dot",
-        "--analysis",
-        "--top",
-        "--folded",
-        "--out",
-        "--interval",
-        "--metrics",
-        "--max-steps",
-        "--deadline",
-        "--max-table-bytes",
-    ];
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -388,13 +396,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
         "query" | "tables" => {
             let (src, goal) = file_goal(args)?;
             let registry = obs.profile.then(|| Arc::new(MetricsRegistry::new()));
-            let opts = EngineOptions {
-                trace: obs.engine_sink(registry.as_ref()),
-                scheduling: obs.scheduling,
-                domain: obs.domain,
-                health: obs.health,
-                ..Default::default()
-            };
+            let opts = obs.options(registry.as_ref());
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
                 .map_err(|e| e.to_string())?;
             if cmd == "query" {
@@ -444,13 +446,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
         "stats" => {
             let (src, goal) = file_goal(args)?;
             let registry = Arc::new(MetricsRegistry::new());
-            let opts = EngineOptions {
-                trace: obs.engine_sink(Some(&registry)),
-                scheduling: obs.scheduling,
-                domain: obs.domain,
-                health: obs.health,
-                ..Default::default()
-            };
+            let opts = obs.options(Some(&registry));
             let t0 = Instant::now();
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
                 .map_err(|e| e.to_string())?;
@@ -462,7 +458,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             registry.record_phase("evaluate", t1.elapsed());
             let mut report = registry.snapshot();
             report.options = engine.options().describe();
-            report.engine = Some(engine_snapshot(&eval, obs.domain));
+            report.engine = Some(eval.snapshot(obs.domain));
             if obs.json {
                 println!("{}", report.to_json());
             } else {
@@ -474,12 +470,8 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let (src, goal) = file_goal(args)?;
             let registry = Arc::new(MetricsRegistry::new());
             let opts = EngineOptions {
-                trace: obs.engine_sink(Some(&registry)),
-                scheduling: obs.scheduling,
-                domain: obs.domain,
                 record_spans: true,
-                health: obs.health,
-                ..Default::default()
+                ..obs.options(Some(&registry))
             };
             let t0 = Instant::now();
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
@@ -492,7 +484,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             registry.record_phase("evaluate", t1.elapsed());
             let mut report = registry.snapshot();
             report.options = engine.options().describe();
-            report.engine = Some(engine_snapshot(&eval, obs.domain));
+            report.engine = Some(eval.snapshot(obs.domain));
 
             // Predicate -> SCC label, for the per-SCC span rollup. SCCs come
             // out reverse-topological, so the index orders callees first.
@@ -554,13 +546,9 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let counters = args.iter().any(|a| a == "--counters");
             let registry = Arc::new(MetricsRegistry::new());
             let opts = EngineOptions {
-                trace: obs.engine_sink(Some(&registry)),
-                scheduling: obs.scheduling,
-                domain: obs.domain,
                 record_spans: true,
                 record_counters: counters,
-                health: obs.health,
-                ..Default::default()
+                ..obs.options(Some(&registry))
             };
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
                 .map_err(|e| e.to_string())?;
@@ -704,57 +692,18 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             };
             match flag_value(args, "--analysis") {
                 None => {
-                    let opts = EngineOptions {
-                        trace: obs.engine_sink(None),
-                        scheduling: obs.scheduling,
-                        domain: obs.domain,
-                        health: obs.health,
-                        ..Default::default()
-                    };
-                    let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
-                        .map_err(|e| e.to_string())?;
+                    let engine =
+                        Engine::from_source_with(&src, LoadMode::Dynamic, obs.options(None))
+                            .map_err(|e| e.to_string())?;
                     let ex = engine.explain(goal, depth).map_err(|e| e.to_string())?;
                     emit(ex.render_text(), ex.to_json());
                 }
-                Some("ground") => {
-                    let program = tablog_syntax::parse_program(&src).map_err(|e| e.to_string())?;
-                    let mut an = GroundnessAnalyzer::new();
-                    an.options.domain = obs.domain;
-                    let ex = an
-                        .explain(&program, goal, depth)
+                Some(name) => {
+                    let ex = obs
+                        .analysis(name, args)?
+                        .explain_text(&src, goal, depth)
                         .map_err(|e| e.to_string())?;
                     emit(ex.render_text(), ex.to_json());
-                }
-                Some("depthk") => {
-                    let program = tablog_syntax::parse_program(&src).map_err(|e| e.to_string())?;
-                    let k: usize = flag_value(args, "--k")
-                        .map(|v| v.parse().map_err(|_| "bad --k value".to_string()))
-                        .transpose()?
-                        .unwrap_or(2);
-                    let ex = DepthKAnalyzer::new(k)
-                        .explain(&program, goal, depth)
-                        .map_err(|e| e.to_string())?;
-                    emit(ex.render_text(), ex.to_json());
-                }
-                Some("strict") => {
-                    let prog =
-                        tablog_funlang::parse_fun_program(&src).map_err(|e| e.to_string())?;
-                    let ex = StrictnessAnalyzer::new()
-                        .explain(&prog, goal, depth)
-                        .map_err(|e| e.to_string())?;
-                    emit(ex.render_text(), ex.to_json());
-                }
-                Some("direct") => {
-                    let program = tablog_syntax::parse_program(&src).map_err(|e| e.to_string())?;
-                    let mut an = DirectAnalyzer::new();
-                    an.domain = obs.domain;
-                    let ex = an.explain(&program, goal).map_err(|e| e.to_string())?;
-                    emit(ex.render_text(), ex.to_json());
-                }
-                Some(other) => {
-                    return Err(format!(
-                        "unknown --analysis {other} (expected ground, depthk, strict or direct)"
-                    ))
                 }
             }
             Ok(())
@@ -763,11 +712,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let (src, goal) = file_goal(args)?;
             let opts = EngineOptions {
                 record_provenance: true,
-                trace: obs.engine_sink(None),
-                scheduling: obs.scheduling,
-                domain: obs.domain,
-                health: obs.health,
-                ..Default::default()
+                ..obs.options(None)
             };
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
                 .map_err(|e| e.to_string())?;
@@ -798,7 +743,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             }
             Ok(())
         }
-        "ground" => {
+        "ground" | "depthk" | "strict" => {
             let files = positional(&args[1..]);
             if files.is_empty() {
                 return Err(usage());
@@ -807,133 +752,21 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 Some(spec) => vec![EntryPoint::parse(spec).map_err(|e| e.to_string())?],
                 None => Vec::new(),
             };
-            if args.iter().any(|a| a == "--direct") {
-                let outputs = tablog_core::analyze_many(obs.jobs, &files, |file| {
-                    let src = read_file(file)?;
-                    let program = tablog_syntax::parse_program(&src).map_err(|e| e.to_string())?;
-                    let mut an = DirectAnalyzer::new();
-                    an.profile = obs.profile;
-                    an.domain = obs.domain;
-                    an.analyze_with_entries(&program, &entries)
-                        .map_err(|e| format!("{file}: {e}"))
-                });
-                for (file, result) in files.iter().zip(outputs) {
-                    let report = result?;
-                    if files.len() > 1 {
-                        println!("== {file} ==");
-                    }
-                    for p in report.predicates() {
-                        println!(
-                            "{}/{}: ground={:?} models={}",
-                            p.name,
-                            p.arity,
-                            p.definitely_ground,
-                            p.prop.count()
-                        );
-                    }
-                    println!(
-                        "pairs={} iterations={} total={:?}",
-                        report.pairs,
-                        report.iterations,
-                        report.timings.total()
-                    );
-                    if report.domain == DomainKind::Bdd {
-                        println!(
-                            "domain=bdd bdd_nodes={} domain_bytes={}B",
-                            report.bdd_nodes, report.domain_bytes
-                        );
-                    }
-                    obs.print_metrics(report.metrics.as_ref());
-                }
-            } else {
-                let outputs = tablog_core::analyze_many(obs.jobs, &files, |file| {
-                    let src = read_file(file)?;
-                    let program = tablog_syntax::parse_program(&src).map_err(|e| e.to_string())?;
-                    let mut an = GroundnessAnalyzer::new();
-                    an.profile = obs.profile;
-                    an.options.scheduling = obs.scheduling;
-                    an.options.domain = obs.domain;
-                    an.options.trace = obs.engine_sink(None);
-                    an.options.health = obs.health;
-                    an.analyze_with_entries(&program, &entries)
-                        .map_err(|e| format!("{file}: {e}"))
-                });
-                for (file, result) in files.iter().zip(outputs) {
-                    let report = result?;
-                    if files.len() > 1 {
-                        println!("== {file} ==");
-                    }
-                    for p in report.predicates() {
-                        println!(
-                            "{}/{}: ground={:?} answers={} calls={}",
-                            p.name,
-                            p.arity,
-                            p.definitely_ground,
-                            p.success_rows.len(),
-                            p.call_patterns.len()
-                        );
-                    }
-                    println!(
-                        "total={:?} tables={}B",
-                        report.timings.total(),
-                        report.table_bytes()
-                    );
-                    if report.domain == DomainKind::Bdd {
-                        println!(
-                            "domain=bdd bdd_nodes={} domain_bytes={}B",
-                            report.bdd_nodes, report.domain_bytes
-                        );
-                    }
-                    obs.print_metrics(report.metrics.as_ref());
-                }
-            }
-            Ok(())
-        }
-        "depthk" => {
-            let files = positional(&args[1..]);
-            if files.is_empty() {
-                return Err(usage());
-            }
-            let k: usize = flag_value(args, "--k")
-                .map(|v| v.parse().map_err(|_| "bad --k value".to_string()))
-                .transpose()?
-                .unwrap_or(2);
-            let entries: Vec<EntryPoint> = match flag_value(args, "--entry") {
-                Some(spec) => vec![EntryPoint::parse(spec).map_err(|e| e.to_string())?],
-                None => Vec::new(),
-            };
+            let direct = cmd == "ground" && args.iter().any(|a| a == "--direct");
+            let analysis = obs.analysis(if direct { "direct" } else { cmd }, args)?;
             let outputs = tablog_core::analyze_many(obs.jobs, &files, |file| {
                 let src = read_file(file)?;
-                let program = tablog_syntax::parse_program(&src).map_err(|e| e.to_string())?;
-                let mut an = DepthKAnalyzer::new(k);
-                an.profile = obs.profile;
-                an.options.scheduling = obs.scheduling;
-                an.options.trace = obs.engine_sink(None);
-                an.options.health = obs.health;
-                an.analyze_with_entries(&program, &entries)
+                analysis
+                    .analyze_text(&src, &entries)
                     .map_err(|e| format!("{file}: {e}"))
             });
             for (file, result) in files.iter().zip(outputs) {
-                let report = result?;
+                let run = result?;
                 if files.len() > 1 {
                     println!("== {file} ==");
                 }
-                for p in report.predicates() {
-                    println!("{}/{}: ground={:?}", p.name, p.arity, p.definitely_ground);
-                    for row in p.answers.iter().take(8) {
-                        let rendered: Vec<String> = row.iter().map(term_to_string).collect();
-                        println!("    ({})", rendered.join(", "));
-                    }
-                    if p.answers.len() > 8 {
-                        println!("    … {} more", p.answers.len() - 8);
-                    }
-                }
-                println!(
-                    "total={:?} tables={}B",
-                    report.timings.total(),
-                    report.table_bytes()
-                );
-                obs.print_metrics(report.metrics.as_ref());
+                print!("{}", run.result.render(&run.timings));
+                obs.print_metrics(run.metrics.as_ref());
             }
             Ok(())
         }
@@ -960,26 +793,6 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             for s in report.schemes() {
                 println!("{}", s.render());
             }
-            Ok(())
-        }
-        "strict" => {
-            let file = args.get(1).ok_or_else(usage)?;
-            let src = read_file(file)?;
-            let mut an = StrictnessAnalyzer::new();
-            an.profile = obs.profile;
-            an.options.scheduling = obs.scheduling;
-            an.options.trace = obs.engine_sink(None);
-            an.options.health = obs.health;
-            let report = an.analyze_source(&src).map_err(|e| e.to_string())?;
-            for f in report.functions() {
-                println!("{}", f.summary());
-            }
-            println!(
-                "total={:?} tables={}B",
-                report.timings.total(),
-                report.table_bytes()
-            );
-            obs.print_metrics(report.metrics.as_ref());
             Ok(())
         }
         "run" => {

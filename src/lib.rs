@@ -47,3 +47,8 @@ pub use tablog_core as core;
 
 /// The benchmark programs of the paper's evaluation.
 pub use tablog_suite as suite;
+
+/// The README's code examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -110,6 +110,62 @@ fn strict_prints_summaries() {
 }
 
 #[test]
+fn strict_analyzes_every_file_given() {
+    let suite = |f: &str| {
+        format!(
+            "{}/crates/suite/programs/fun/{f}",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let (eu, event) = (suite("eu.eq"), suite("event.eq"));
+    for jobs in ["1", "2"] {
+        let (out, err, ok) = tablog(&["strict", &eu, &event, "--jobs", jobs]);
+        assert!(ok, "{err}");
+        let first = out.find(&format!("== {eu} ==")).expect(&out);
+        let second = out.find(&format!("== {event} ==")).expect(&out);
+        assert!(first < second, "{out}");
+        assert_eq!(out.matches("total=").count(), 2, "{out}");
+    }
+}
+
+#[test]
+fn unknown_flags_are_rejected_with_the_usage() {
+    let fig = repo_example("figure1.pl");
+    for args in [
+        vec!["query", fig.as_str(), "gp_ap(X,Y,Z)", "--threads", "4"],
+        vec!["ground", fig.as_str(), "--threads", "4"],
+    ] {
+        let (out, err, ok) = tablog(&args);
+        assert!(!ok, "{args:?} must fail: {out}");
+        assert!(out.is_empty(), "{args:?} printed {out}");
+        assert!(err.contains("unknown flag --threads"), "{err}");
+        assert!(err.contains("usage: tablog"), "{err}");
+    }
+}
+
+#[test]
+fn explain_analysis_writes_the_trace() {
+    let trace = std::env::temp_dir()
+        .join("tablog-cli-tests")
+        .join("explain_analysis.jsonl");
+    std::fs::create_dir_all(trace.parent().unwrap()).expect("mkdir");
+    let (out, err, ok) = tablog(&[
+        "explain",
+        &repo_example("figure1.pl"),
+        "gp_ap(g,g,Z)",
+        "--analysis",
+        "ground",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    assert!(out.contains("abstract: 'gp$gp_ap'("), "{out}");
+    let events = std::fs::read_to_string(&trace).expect("trace written");
+    let first = events.lines().next().expect("at least one event line");
+    assert!(tablog_trace::json::parse(first).is_ok(), "{first}");
+}
+
+#[test]
 fn modes_prints_signatures() {
     let f = temp_file(
         "qs2.pl",
